@@ -1,8 +1,27 @@
 #include "alloc/entity.hpp"
 
+#include <limits>
+
 #include "common/error.hpp"
 
 namespace rrf::alloc {
+
+namespace {
+
+/// 0 <= v <= max finite double.  NaN fails both comparisons and +inf the
+/// upper one, so one pass checks sign and finiteness together.
+bool finite_nonneg(double v) {
+  return v >= 0.0 && v <= std::numeric_limits<double>::max();
+}
+
+bool finite_nonneg(const ResourceVector& v) {
+  for (const double x : v.values()) {
+    if (!finite_nonneg(x)) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 ResourceVector AllocationResult::total() const {
   RRF_REQUIRE(!allocations.empty(), "empty allocation result");
@@ -14,16 +33,19 @@ ResourceVector AllocationResult::total() const {
 void validate_entities(const ResourceVector& capacity,
                        std::span<const AllocationEntity> entities) {
   RRF_REQUIRE(!entities.empty(), "no entities to allocate to");
-  RRF_REQUIRE(capacity.all_nonneg(), "capacity must be non-negative");
+  RRF_REQUIRE(finite_nonneg(capacity),
+              "capacity must be finite and non-negative");
   for (const auto& e : entities) {
     RRF_REQUIRE(e.initial_share.size() == capacity.size(),
                 "entity share arity must match capacity");
     RRF_REQUIRE(e.demand.size() == capacity.size(),
                 "entity demand arity must match capacity");
-    RRF_REQUIRE(e.initial_share.all_nonneg(),
-                "initial shares must be non-negative");
-    RRF_REQUIRE(e.demand.all_nonneg(), "demands must be non-negative");
-    RRF_REQUIRE(e.weight >= 0.0, "weights must be non-negative");
+    RRF_REQUIRE(finite_nonneg(e.initial_share),
+                "initial shares must be finite and non-negative");
+    RRF_REQUIRE(finite_nonneg(e.demand),
+                "demands must be finite and non-negative");
+    RRF_REQUIRE(finite_nonneg(e.weight),
+                "weights must be finite and non-negative");
   }
 }
 

@@ -1,5 +1,7 @@
 #include "alloc/entity_io.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <ostream>
 #include <sstream>
 
@@ -18,7 +20,24 @@ std::vector<std::string> split_csv_line(const std::string& line) {
   return cells;
 }
 
+/// Shortest decimal form that parses back to exactly `v` (1.5 -> "1.5",
+/// 300 -> "300"), so the table never rounds away the number it reports.
+/// The longest such form of any double is 24 characters.
+std::string exact(double v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
 }  // namespace
+
+std::string format_exact(const ResourceVector& v) {
+  std::string out = "<";
+  for (std::size_t k = 0; k < v.size(); ++k) {
+    if (k != 0) out += ", ";
+    out += exact(v[k]);
+  }
+  return out + ">";
+}
 
 std::vector<AllocationEntity> read_entities_csv(std::istream& in) {
   std::string line;
@@ -54,6 +73,10 @@ std::vector<AllocationEntity> read_entities_csv(std::istream& in) {
       } catch (const std::exception&) {
         throw DomainError("entity CSV line " + std::to_string(line_no) +
                           ": not a number: " + cells[k + 1]);
+      }
+      if (!std::isfinite(value)) {
+        throw DomainError("entity CSV line " + std::to_string(line_no) +
+                          ": not a finite number: " + cells[k + 1]);
       }
       if (k < p) {
         entity.initial_share[k] = value;
@@ -95,14 +118,13 @@ std::string format_result(std::span<const AllocationEntity> entities,
   for (std::size_t i = 0; i < entities.size(); ++i) {
     table.row({entities[i].name.empty() ? "#" + std::to_string(i)
                                         : entities[i].name,
-               entities[i].initial_share.to_string(0),
-               entities[i].demand.to_string(0),
-               result.allocations[i].to_string(0),
-               TextTable::num(
-                   (result.allocations[i] - entities[i].initial_share).sum(),
-                   0)});
+               format_exact(entities[i].initial_share),
+               format_exact(entities[i].demand),
+               format_exact(result.allocations[i]),
+               exact((result.allocations[i] - entities[i].initial_share)
+                         .sum())});
   }
-  table.row({"(idle)", "", "", result.unallocated.to_string(0), ""});
+  table.row({"(idle)", "", "", format_exact(result.unallocated), ""});
   return table.to_string();
 }
 

@@ -27,8 +27,12 @@ std::vector<AllocationEntity> read_entities_csv(std::istream& in);
 void write_entities_csv(std::span<const AllocationEntity> entities,
                         std::ostream& out);
 
+/// `<a, b>` with each component in its shortest exact decimal form (the
+/// shortest text that parses back to the same double: 1.5 prints "1.5").
+std::string format_exact(const ResourceVector& v);
+
 /// Renders an allocation result as an aligned text table (one row per
-/// entity: shares, demand, allocation).
+/// entity: shares, demand, allocation, gain), every number exact.
 std::string format_result(std::span<const AllocationEntity> entities,
                           const AllocationResult& result);
 

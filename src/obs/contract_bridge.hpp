@@ -3,8 +3,8 @@
 //
 //  * metrics registry — one counter per violation site, registered as
 //    "contract.violations_total{site=...}", which the Prometheus exporter
-//    renders as rrf_contract_violations_total{site="..."} so the SLO
-//    watchdog can alert on any nonzero rate;
+//    renders as rrf_contract_violations_total{site="..."} so a scraper
+//    can alert on any nonzero rate;
 //  * event tracer — one kContractViolation instant per violation (the
 //    site travels in the event's value as the registry counter's current
 //    count; the JSONL consumer joins on timestamps).

@@ -1,7 +1,7 @@
 // Online fairness anomaly detection over the per-round summary feed.
 //
-// The FairnessAuditor (obs/audit.hpp) evaluates per-round SLO rules from
-// the engine's raw ledger; this layer sits one level up, consuming the
+// The detector bank is the project's one alerting path; the
+// FairnessAuditor (obs/audit.hpp) only publishes gauges.  It consumes the
 // same RoundSummary digest the `/rounds` endpoint streams, and detects
 // the slow-burn failure modes a single-round threshold misses:
 //
@@ -24,6 +24,9 @@
 //    reciprocity contributor (cumulative contributed > gained) — a
 //    tenant who fed the pool and still trails her entitlement is the
 //    anomaly worth paging on; a free rider with the same deficit is not.
+//    This is the project's one reciprocity-violation definition (Dolev et
+//    al., "No Justified Complaints"); free riding itself shows up as a
+//    positive fairness.reciprocity_balance gauge, not as a detection.
 //
 // Detections are level-triggered ("this condition holds now"); the
 // IncidentManager (obs/incident.hpp) adds hysteresis, correlation and

@@ -479,11 +479,6 @@ std::string ExpositionServer::respond(const std::string& method,
       status_text = "Service Unavailable";
       body = why;
     }
-  } else if (route == "/alerts") {
-    content_type = "application/json";
-    body = (config_.ops != nullptr ? config_.ops->alerts_json()
-                                   : empty_alerts_document()) +
-           "\n";
   } else if (route == "/rounds") {
     // Only reachable without an OpsHub (streaming handles the rest).
     status = 503;

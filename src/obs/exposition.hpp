@@ -21,8 +21,6 @@
 //      GET /readyz        readiness — 503 once the stall watchdog trips
 //                         (no allocation round within stall_deadline_seconds;
 //                         requires an attached OpsHub, else mirrors /healthz)
-//      GET /alerts        the FairnessAuditor's active + recently-resolved
-//                         alerts as JSON (hysteresis state included)
 //      GET /rounds        per-round summaries as newline-delimited JSON over
 //                         chunked transfer; follows the run live
 //                         (`?n=K` caps the line count, `?follow=0` sends the
@@ -103,9 +101,9 @@ class ExpositionServer {
     /// this many seconds.  0 disables the watchdog.  Needs `ops`; the
     /// deadline also grants a startup grace period of its own length.
     double stall_deadline_seconds = 0.0;
-    /// The hub behind /rounds, /alerts and the /readyz watchdog.  Null
-    /// keeps those endpoints in degraded mode (/rounds answers 503,
-    /// /alerts serves the empty document, /readyz mirrors /healthz).
+    /// The hub behind /rounds and the /readyz watchdog.  Null keeps
+    /// those endpoints in degraded mode (/rounds answers 503, /readyz
+    /// mirrors /healthz).
     OpsHub* ops = nullptr;
     /// The incident engine behind /incidents.  Null keeps the routes in
     /// degraded mode (/incidents serves the empty document, ids 404).

@@ -79,12 +79,6 @@ void IncidentManager::set_metadata(std::string key, std::string value) {
   metadata_.emplace_back(std::move(key), std::move(value));
 }
 
-void IncidentManager::set_alerts_provider(
-    std::function<std::string()> provider) {
-  MutexLock lock(mu_);
-  alerts_provider_ = std::move(provider);
-}
-
 void IncidentManager::set_extra_provider(
     std::string filename, std::function<std::string()> provider) {
   MutexLock lock(mu_);
@@ -99,7 +93,6 @@ void IncidentManager::set_extra_provider(
 
 void IncidentManager::clear_providers() {
   MutexLock lock(mu_);
-  alerts_provider_ = nullptr;
   extras_.clear();
 }
 
@@ -336,9 +329,6 @@ void IncidentManager::write_bundle(Incident& incident) {
   }
   write_file("rounds", "rounds.jsonl", rounds);
   write_file("evidence", "evidence.json", evidence_json().dump(2) + "\n");
-  write_file("alerts", "alerts.json",
-             (alerts_provider_ ? alerts_provider_() : empty_alerts_document()) +
-                 "\n");
 
   json::Array sites;
   for (const auto& [site, count] : contract::violation_counts()) {

@@ -19,7 +19,7 @@
 //  * forensics — at open the manager snapshots a self-contained bundle
 //    directory: the recent round ring (rounds.jsonl), the detector
 //    estimator state and per-tenant evidence series (evidence.json),
-//    the auditor's alert document, contract-audit tallies, a collapsed
+//    contract-audit tallies, a collapsed
 //    flamegraph when profiling is live, engine-provided extras (e.g.
 //    per-shard stats) and a schema-versioned incident.json manifest
 //    stamped with build provenance.  `rrf_inspect incident
@@ -135,11 +135,9 @@ class IncidentManager {
   void finalize();
 
   // Bundle enrichment, installed by the engine for the duration of a
-  // run.  The alerts provider returns the serialized /alerts document;
-  // each extra provider contributes one named bundle file.  Metadata
+  // run.  Each extra provider contributes one named bundle file.  Metadata
   // key/values land in the manifest (policy, windows, scenario, ...).
   void set_metadata(std::string key, std::string value);
-  void set_alerts_provider(std::function<std::string()> provider);
   void set_extra_provider(std::string filename,
                           std::function<std::string()> provider);
   void clear_providers();
@@ -197,7 +195,6 @@ class IncidentManager {
   std::vector<Detection> pending_detections_ GUARDED_BY(mu_);
   std::size_t quiet_rounds_ GUARDED_BY(mu_){0};
   std::vector<std::pair<std::string, std::string>> metadata_ GUARDED_BY(mu_);
-  std::function<std::string()> alerts_provider_ GUARDED_BY(mu_);
   std::vector<std::pair<std::string, std::function<std::string()>>> extras_
       GUARDED_BY(mu_);
 };

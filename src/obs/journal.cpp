@@ -111,37 +111,6 @@ JournalHeader journal_header_from_json(const json::Value& value) {
   return header;
 }
 
-json::Value journal_alert_to_json(const JournalAlert& alert) {
-  json::Object out;
-  out.emplace_back("t", "alert");
-  out.emplace_back("state", alert.raised ? "raised" : "resolved");
-  out.emplace_back("kind", alert.kind);
-  out.emplace_back("tenant", alert.tenant);
-  out.emplace_back("tenant_name", alert.tenant_name);
-  out.emplace_back("window", alert.window);
-  out.emplace_back("value", alert.value);
-  out.emplace_back("threshold", alert.threshold);
-  return out;
-}
-
-JournalAlert journal_alert_from_json(const json::Value& value) {
-  if (!value.is_object()) fail("alert record is not an object");
-  if (str_field(value, "t") != "alert") fail("record tag is not 'alert'");
-  JournalAlert alert;
-  const std::string state = str_field(value, "state");
-  if (state != "raised" && state != "resolved") {
-    fail("alert state '" + state + "' is neither 'raised' nor 'resolved'");
-  }
-  alert.raised = state == "raised";
-  alert.kind = str_field(value, "kind");
-  alert.tenant = int_field(value, "tenant");
-  alert.tenant_name = str_field(value, "tenant_name");
-  alert.window = size_field(value, "window");
-  alert.value = num_field(value, "value");
-  alert.threshold = num_field(value, "threshold");
-  return alert;
-}
-
 json::Value journal_incident_to_json(const JournalIncident& incident) {
   json::Object out;
   out.emplace_back("t", "incident");
@@ -190,7 +159,6 @@ namespace {
 struct Segment {
   JournalHeader header;
   std::vector<RoundSummary> rounds;
-  std::vector<JournalAlert> alerts;
   std::vector<JournalIncident> incidents;
   std::optional<JournalEnd> end;
   bool truncated_tail{false};
@@ -232,18 +200,12 @@ Segment load_segment(const std::string& path) {
       const std::string tag = str_field(value, "t");
       if (tag == "round") {
         seg.rounds.push_back(round_summary_from_json(value));
-      } else if (tag == "alert") {
-        seg.alerts.push_back(journal_alert_from_json(value));
       } else if (tag == "incident") {
         seg.incidents.push_back(journal_incident_from_json(value));
       } else if (tag == "end") {
         JournalEnd end;
         end.rounds = size_field(value, "rounds");
-        end.alerts = size_field(value, "alerts");
-        // Additive: end records written before incidents existed lack it.
-        if (value.find("incidents") != nullptr) {
-          end.incidents = size_field(value, "incidents");
-        }
+        end.incidents = size_field(value, "incidents");
         seg.end = end;
       } else {
         fail("unknown record tag '" + tag + "'");
@@ -273,7 +235,6 @@ JournalData JournalData::load_file(const std::string& path) {
         JournalData data;
         data.header = only.header;
         data.rounds = std::move(only.rounds);
-        data.alerts = std::move(only.alerts);
         data.incidents = std::move(only.incidents);
         data.end = only.end;
         data.truncated_tail = only.truncated_tail;
@@ -309,7 +270,6 @@ JournalData JournalData::load_file(const std::string& path) {
         } else {
           data.header = prev.header;
           data.rounds = std::move(prev.rounds);
-          data.alerts = std::move(prev.alerts);
           data.incidents = std::move(prev.incidents);
           if (prev.truncated_tail) {
             data.notes.push_back(prev_path +
@@ -326,9 +286,6 @@ JournalData JournalData::load_file(const std::string& path) {
   data.rounds.insert(data.rounds.end(),
                      std::make_move_iterator(active.rounds.begin()),
                      std::make_move_iterator(active.rounds.end()));
-  data.alerts.insert(data.alerts.end(),
-                     std::make_move_iterator(active.alerts.begin()),
-                     std::make_move_iterator(active.alerts.end()));
   data.incidents.insert(data.incidents.end(),
                         std::make_move_iterator(active.incidents.begin()),
                         std::make_move_iterator(active.incidents.end()));
@@ -398,14 +355,6 @@ void TelemetryJournal::record_round(const RoundSummary& summary) {
   ++rounds_;
 }
 
-void TelemetryJournal::record_alert(const JournalAlert& alert) {
-  MutexLock lock(mu_);
-  if (finished_) fail("record_alert after finish");
-  maybe_rotate();
-  write_line(journal_alert_to_json(alert).dump());
-  ++alerts_;
-}
-
 void TelemetryJournal::record_incident(const JournalIncident& incident) {
   MutexLock lock(mu_);
   if (finished_) fail("record_incident after finish");
@@ -425,7 +374,6 @@ void TelemetryJournal::finish_locked() {
   json::Object end;
   end.emplace_back("t", "end");
   end.emplace_back("rounds", rounds_);
-  end.emplace_back("alerts", alerts_);
   end.emplace_back("incidents", incidents_);
   write_line(json::Value(std::move(end)).dump());
   out_.close();
@@ -434,11 +382,6 @@ void TelemetryJournal::finish_locked() {
 std::size_t TelemetryJournal::rounds_recorded() const {
   MutexLock lock(mu_);
   return rounds_;
-}
-
-std::size_t TelemetryJournal::alerts_recorded() const {
-  MutexLock lock(mu_);
-  return alerts_;
 }
 
 std::size_t TelemetryJournal::incidents_recorded() const {

@@ -1,21 +1,20 @@
 // Durable telemetry journal: append-only, schema-versioned JSONL of
-// round summaries and alert transitions (observability subsystem, see
+// round summaries and incident transitions (observability subsystem, see
 // docs/OBSERVABILITY.md "Live ops plane").
 //
 // Where the flight recorder captures *allocation decisions* for
 // bit-exact replay, the journal captures *operator telemetry* — the same
 // RoundSummary objects the `/rounds` feed streams, plus every
-// FairnessAuditor raise/resolve edge — so a crashed or killed run
+// IncidentManager open/resolve edge — so a crashed or killed run
 // leaves a forensically useful trail on disk.  The framing follows the
 // flightrec conventions:
-//   line 1    — header: {"schema":"rrf-telemetry","version":1,"kind",
+//   line 1    — header: {"schema":"rrf-telemetry","version":2,"kind",
 //               "policy","tenants",segment,"continued","build"} (the
 //               build-info stamp identifies the producing binary);
-//   lines 2.. — {"t":"round",...} (obs/ops.hpp round shape),
-//               {"t":"alert","state":"raised"|"resolved",...} and
+//   lines 2.. — {"t":"round",...} (obs/ops.hpp round shape) and
 //               {"t":"incident","state":"opened"|"resolved",...}
 //               records, interleaved in emission order;
-//   last line — an optional {"t":"end","rounds","alerts","incidents"}
+//   last line — an optional {"t":"end","rounds","incidents"}
 //               record, written on clean shutdown only.  Its absence is
 //               the crash marker.
 //
@@ -42,8 +41,10 @@
 
 namespace rrf::obs {
 
-/// Journal format version this build reads and writes.
-inline constexpr int kJournalSchemaVersion = 1;
+/// Journal format version this build reads and writes.  Version 2
+/// dropped version 1's "alert" records and the end record's "alerts"
+/// count; a version-1 file is rejected as unsupported.
+inline constexpr int kJournalSchemaVersion = 2;
 /// Value of the header's "schema" tag.
 inline constexpr const char* kJournalSchemaName = "rrf-telemetry";
 
@@ -59,17 +60,6 @@ struct JournalHeader {
   json::Value build;
 };
 
-/// One persisted alert raise/resolve edge.
-struct JournalAlert {
-  std::string kind;  ///< "jain" | "beta_drift" | "starvation" | "reciprocity"
-  bool raised{true};
-  std::int32_t tenant{-1};  ///< -1 for cluster-wide alerts
-  std::string tenant_name;  ///< empty for cluster-wide alerts
-  std::size_t window{0};
-  double value{0.0};
-  double threshold{0.0};
-};
-
 /// One persisted incident open/resolve edge (obs/incident.hpp).
 struct JournalIncident {
   std::string id;      ///< "inc-0001"
@@ -82,23 +72,19 @@ struct JournalIncident {
 
 struct JournalEnd {
   std::size_t rounds{0};
-  std::size_t alerts{0};
   std::size_t incidents{0};
 };
 
 // ---- serialization (shared by the writer, the loader and tests) ----
 json::Value journal_header_to_json(const JournalHeader& header);
-json::Value journal_alert_to_json(const JournalAlert& alert);
 json::Value journal_incident_to_json(const JournalIncident& incident);
 JournalHeader journal_header_from_json(const json::Value& value);
-JournalAlert journal_alert_from_json(const json::Value& value);
 JournalIncident journal_incident_from_json(const json::Value& value);
 
 /// A fully loaded journal (both rotation segments merged).
 struct JournalData {
   JournalHeader header;  ///< oldest loaded segment's header
   std::vector<RoundSummary> rounds;
-  std::vector<JournalAlert> alerts;
   std::vector<JournalIncident> incidents;
   std::optional<JournalEnd> end;  ///< absent = the run did not shut down
                                   ///  cleanly (or is still writing)
@@ -143,7 +129,6 @@ class TelemetryJournal {
   /// "journal.writer" site shows up in the mutex contention metrics if
   /// anything ever does contend.
   void record_round(const RoundSummary& summary);
-  void record_alert(const JournalAlert& alert);
   void record_incident(const JournalIncident& incident);
 
   /// Writes the end record and closes the file.  Idempotent; called by
@@ -151,7 +136,6 @@ class TelemetryJournal {
   void finish();
 
   std::size_t rounds_recorded() const;
-  std::size_t alerts_recorded() const;
   std::size_t incidents_recorded() const;
   std::size_t segment() const;
   std::uint64_t bytes_written() const;
@@ -169,7 +153,6 @@ class TelemetryJournal {
   std::uint64_t segment_bytes_ GUARDED_BY(mu_){0};
   std::uint64_t bytes_written_ GUARDED_BY(mu_){0};
   std::size_t rounds_ GUARDED_BY(mu_){0};
-  std::size_t alerts_ GUARDED_BY(mu_){0};
   std::size_t incidents_ GUARDED_BY(mu_){0};
   bool finished_ GUARDED_BY(mu_){false};
 };

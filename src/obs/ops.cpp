@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "obs/audit.hpp"
 
 namespace rrf::obs {
 
@@ -56,8 +55,6 @@ json::Value round_summary_to_json(const RoundSummary& summary) {
                         summary.phase_seconds[i]);
   }
   out.emplace_back("phase_seconds", std::move(phases));
-  out.emplace_back("active_alerts", summary.active_alerts);
-  out.emplace_back("alerts_total", summary.alerts_total);
   json::Array tenants;
   tenants.reserve(summary.tenants.size());
   for (const TenantRoundStat& t : summary.tenants) {
@@ -88,8 +85,6 @@ RoundSummary round_summary_from_json(const json::Value& value) {
     out.phase_seconds[i] =
         num_field(phases, to_string(static_cast<Phase>(i)));
   }
-  out.active_alerts = size_field(value, "active_alerts");
-  out.alerts_total = size_field(value, "alerts_total");
   const json::Value& tenants = field(value, "tenants");
   if (!tenants.is_array()) fail("field 'tenants' is not an array");
   out.tenants.reserve(tenants.as_array().size());
@@ -111,44 +106,7 @@ RoundSummary round_summary_from_json(const json::Value& value) {
   return out;
 }
 
-json::Value alerts_document(const FairnessAuditor& auditor) {
-  json::Array active;
-  json::Array resolved;
-  for (const AlertStatus& status : auditor.alert_statuses()) {
-    json::Object entry;
-    entry.emplace_back("kind", to_string(status.kind));
-    entry.emplace_back("tenant", status.tenant >= 0
-                                     ? json::Value(status.tenant_name)
-                                     : json::Value(nullptr));
-    entry.emplace_back("raised_window", status.raised_window);
-    if (!status.active) {
-      entry.emplace_back("resolved_window", status.resolved_window);
-    }
-    entry.emplace_back("value", status.value);
-    entry.emplace_back("threshold", status.threshold);
-    entry.emplace_back("raise_count", status.raise_count);
-    (status.active ? active : resolved).emplace_back(std::move(entry));
-  }
-  json::Object counts;
-  for (std::size_t k = 0; k < kAlertKindCount; ++k) {
-    counts.emplace_back(to_string(static_cast<AlertKind>(k)),
-                        auditor.alert_count(static_cast<AlertKind>(k)));
-  }
-  json::Object out;
-  out.emplace_back("windows", auditor.windows());
-  out.emplace_back("active", std::move(active));
-  out.emplace_back("resolved", std::move(resolved));
-  out.emplace_back("counts", std::move(counts));
-  out.emplace_back("total", auditor.alerts().size());
-  return out;
-}
-
-std::string empty_alerts_document() {
-  return R"({"windows":0,"active":[],"resolved":[],"total":0})";
-}
-
-OpsHub::OpsHub(Config config)
-    : config_(config), alerts_json_(empty_alerts_document()) {
+OpsHub::OpsHub(Config config) : config_(config) {
   if (config_.ring_capacity == 0) config_.ring_capacity = 1;
 }
 
@@ -166,16 +124,6 @@ void OpsHub::publish_round(const RoundSummary& summary) {
     last_round_ = std::chrono::steady_clock::now();
   }
   cv_.notify_all();
-}
-
-void OpsHub::set_alerts_json(std::string body) {
-  MutexLock lock(mu_);
-  alerts_json_ = std::move(body);
-}
-
-std::string OpsHub::alerts_json() const {
-  MutexLock lock(mu_);
-  return alerts_json_;
 }
 
 std::uint64_t OpsHub::rounds_published() const {

@@ -5,10 +5,10 @@
 // A RoundSummary is the operator-facing digest of one allocation window:
 // per-tenant dominant-share / demand ratios, the tenant-funded
 // contribution and gain flows, the window's Jain index over share
-// ratios, per-phase wall timings and the auditor's alert counts.  The
-// engine emits one per window (only when an OpsHub or TelemetryJournal
-// is attached, so the disabled path stays allocation-free) and the same
-// JSON object flows to three consumers:
+// ratios and per-phase wall timings.  The engine emits one per window
+// (only when an OpsHub or TelemetryJournal is attached, so the disabled
+// path stays allocation-free) and the same JSON object flows to three
+// consumers:
 //  * the `/rounds` streaming endpoint (newline-delimited JSON over
 //    chunked transfer, served by obs::ExpositionServer);
 //  * the durable telemetry journal (obs/journal.hpp);
@@ -16,10 +16,10 @@
 //
 // The OpsHub is the thread-safe middle: the engine publishes serialized
 // round lines into a bounded in-memory ring (slow subscribers skip
-// ahead, they never block the engine), stores the latest `/alerts` JSON
-// document, and timestamps round completion for the `/readyz` stall
-// watchdog.  Subscribers (one per streaming HTTP connection) block on a
-// condition variable with a timeout so server shutdown stays prompt.
+// ahead, they never block the engine) and timestamps round completion
+// for the `/readyz` stall watchdog.  Subscribers (one per streaming HTTP
+// connection) block on a condition variable with a timeout so server
+// shutdown stays prompt.
 #pragma once
 
 #include <array>
@@ -36,8 +36,6 @@
 #include "obs/trace.hpp"  // Phase, kPhaseCount
 
 namespace rrf::obs {
-
-class FairnessAuditor;
 
 /// One tenant's slice of a round summary.  Ratios are relative to the
 /// tenant's bought share total S(i); flows are raw shares this window.
@@ -67,8 +65,6 @@ struct RoundSummary {
   /// Wall seconds per phase (predict/allocate/actuate/settle), summed
   /// over all nodes, for this window alone.
   std::array<double, kPhaseCount> phase_seconds{};
-  std::size_t active_alerts{0};
-  std::size_t alerts_total{0};
   std::vector<TenantRoundStat> tenants;
 };
 
@@ -76,15 +72,10 @@ struct RoundSummary {
 /// feed and the telemetry journal.
 json::Value round_summary_to_json(const RoundSummary& summary);
 /// Parses a round record; throws DomainError ("ops: ...") on schema
-/// violations (wrong tag, missing or mistyped fields).
+/// violations (wrong tag, missing or mistyped fields).  Unknown fields,
+/// such as the `active_alerts`/`alerts_total` of older `/rounds` lines,
+/// are ignored.
 RoundSummary round_summary_from_json(const json::Value& value);
-
-/// The `/alerts` JSON document for an auditor's current state: active
-/// and recently-resolved alerts with their hysteresis state (raised /
-/// resolved windows, last value vs. threshold, raise counts).
-json::Value alerts_document(const FairnessAuditor& auditor);
-/// The empty document served before any auditor state was published.
-std::string empty_alerts_document();
 
 class OpsHub {
  public:
@@ -103,10 +94,7 @@ class OpsHub {
   /// Serializes and appends one round line, wakes subscribers and stamps
   /// the watchdog clock.  Called from the engine thread.
   void publish_round(const RoundSummary& summary);
-  /// Replaces the `/alerts` document body (a serialized JSON object).
-  void set_alerts_json(std::string body);
 
-  std::string alerts_json() const;
   std::uint64_t rounds_published() const;
   /// Sequence number of the oldest line still in the ring (== next_seq()
   /// when the ring is empty).
@@ -134,7 +122,6 @@ class OpsHub {
   /// Sequence number of lines_.front(); advances as the ring drops.
   std::uint64_t base_seq_ GUARDED_BY(mu_){0};
   std::uint64_t rounds_ GUARDED_BY(mu_){0};
-  std::string alerts_json_ GUARDED_BY(mu_);
   bool any_round_ GUARDED_BY(mu_){false};
   std::chrono::steady_clock::time_point last_round_ GUARDED_BY(mu_){};
 };

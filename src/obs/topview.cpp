@@ -104,44 +104,6 @@ std::string format_num(double value, int precision) {
   return buffer;
 }
 
-std::string render_alerts(const std::string& body) {
-  json::Value doc;
-  try {
-    doc = json::Value::parse(body);
-  } catch (...) {
-    return "alerts: (unavailable)";
-  }
-  const json::Value* active = doc.find("active");
-  const json::Value* total = doc.find("total");
-  if (active == nullptr || !active->is_array()) return "alerts: (unavailable)";
-  std::string out = "alerts: " + std::to_string(active->as_array().size()) +
-                    " active";
-  if (total != nullptr && total->is_number()) {
-    out += ", " + std::to_string(
-                      static_cast<std::uint64_t>(total->as_number())) +
-           " raised total";
-  }
-  std::size_t shown = 0;
-  for (const json::Value& entry : active->as_array()) {
-    if (shown++ == 3) {
-      out += " …";
-      break;
-    }
-    const json::Value* kind = entry.find("kind");
-    const json::Value* tenant = entry.find("tenant");
-    const json::Value* value = entry.find("value");
-    out += "\n  ⚠ ";
-    out += kind != nullptr && kind->is_string() ? kind->as_string() : "?";
-    if (tenant != nullptr && tenant->is_string()) {
-      out += " tenant=" + tenant->as_string();
-    }
-    if (value != nullptr && value->is_number()) {
-      out += " value=" + format_num(value->as_number(), 3);
-    }
-  }
-  return out;
-}
-
 std::string render_incidents(const std::string& body) {
   json::Value doc;
   try {
@@ -259,7 +221,6 @@ std::string render_profile(const std::string& body, std::size_t top_n) {
 }
 
 std::string render_frame(Feed& feed, const std::string& endpoint,
-                         const std::string& alerts_body,
                          const std::string& profile_body,
                          const std::string& incidents_body) {
   MutexLock lock(feed.mu);
@@ -331,7 +292,6 @@ std::string render_frame(Feed& feed, const std::string& endpoint,
   out << "drift " << sparkline(drift_series, 0.0, *drift_hi) << "  [max "
       << format_num(*drift_hi, 3) << "]\n\n";
 
-  out << render_alerts(alerts_body) << "\n";
   const std::string incidents = render_incidents(incidents_body);
   if (!incidents.empty()) out << incidents << "\n";
   const std::string profile = render_profile(profile_body, 5);

@@ -2,7 +2,7 @@
 // so it is directly testable (tests/obs/topview_test.cpp): HTTP head
 // parsing + chunked-transfer decoding, the /rounds feed accumulator
 // (round + {"t":"gap"} drop records), and the frame renderer (share
-// bars, Jain/drift sparklines, alert + incident panes, top self-time
+// bars, Jain/drift sparklines, the incident pane, top self-time
 // sites).  tools/rrf_top.cpp keeps only sockets and the refresh loop.
 #pragma once
 
@@ -57,9 +57,6 @@ std::string bar(double fill, std::size_t width);
 std::string sparkline(const std::vector<double>& values, double lo, double hi);
 std::string format_num(double value, int precision = 2);
 
-/// The `/alerts` document condensed to one or two display lines.
-std::string render_alerts(const std::string& body);
-
 /// The `/incidents` document condensed to a pane: open/total counts and
 /// one line per incident (worst first).  Empty string when the document
 /// is missing/empty so quiet clusters pay no screen space.
@@ -70,7 +67,6 @@ std::string render_profile(const std::string& body, std::size_t top_n);
 
 /// One full dashboard frame (plain text, no terminal control).
 std::string render_frame(Feed& feed, const std::string& endpoint,
-                         const std::string& alerts_body,
                          const std::string& profile_body,
                          const std::string& incidents_body = {});
 

@@ -21,7 +21,6 @@ const char* to_string(EventKind kind) {
     case EventKind::kBalloonTransfer: return "balloon_transfer";
     case EventKind::kMigration: return "migration";
     case EventKind::kPhase: return "phase";
-    case EventKind::kAlert: return "alert";
     case EventKind::kContractViolation: return "contract_violation";
   }
   return "unknown";
@@ -32,8 +31,7 @@ std::optional<EventKind> event_kind_from_string(std::string_view name) {
        {EventKind::kAllocRoundBegin, EventKind::kAllocRoundEnd,
         EventKind::kIrtTrade, EventKind::kIwaAdjust, EventKind::kBalloonTarget,
         EventKind::kBalloonTransfer, EventKind::kMigration,
-        EventKind::kPhase, EventKind::kAlert,
-        EventKind::kContractViolation}) {
+        EventKind::kPhase, EventKind::kContractViolation}) {
     if (name == to_string(kind)) return kind;
   }
   return std::nullopt;

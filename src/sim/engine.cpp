@@ -492,7 +492,7 @@ SimResult run_simulation(const Scenario& scenario,
     lt_balance.assign(tenant_count, 0.0);
   }
 
-  // ---- continuous fairness auditing (SLO watchdog) ----
+  // ---- fairness gauges ----
   std::unique_ptr<obs::FairnessAuditor> auditor;
   if (config.audit.enabled && obs::metrics_enabled()) {
     std::vector<std::string> names;
@@ -513,14 +513,12 @@ SimResult run_simulation(const Scenario& scenario,
     config.recorder->set_tenants(std::move(names));
   }
 
-  // ---- live ops plane (round summaries + alert transitions) ----
+  // ---- live ops plane (round summaries + incident edges) ----
   const bool ops_on = config.ops != nullptr || config.journal != nullptr ||
                       config.incidents != nullptr;
   // Cumulative per-phase seconds at the previous window tail, so each
   // RoundSummary carries this window's delta alone.
   std::array<double, obs::kPhaseCount> ops_phase_prev{};
-  // Auditor transitions already drained into the journal / alerts doc.
-  std::size_t ops_transition_cursor = 0;
   // Incident open/resolve edges already relayed into the journal.
   std::size_t incident_event_cursor = 0;
   const auto relay_incidents = [&]() {
@@ -544,11 +542,6 @@ SimResult run_simulation(const Scenario& scenario,
                                    std::to_string(config.window));
     config.incidents->set_metadata("hosts", std::to_string(host_count));
     config.incidents->set_metadata("tenants", std::to_string(tenant_count));
-    if (auditor) {
-      obs::FairnessAuditor* aud = auditor.get();
-      config.incidents->set_alerts_provider(
-          [aud]() { return obs::alerts_document(*aud).dump(); });
-    }
     if (shard_executor) {
       ShardExecutor* exec = shard_executor.get();
       config.incidents->set_extra_provider("shards.json", [exec]() {
@@ -1011,15 +1004,12 @@ SimResult run_simulation(const Scenario& scenario,
 
     if (auditor) {
       std::vector<double> position(tenant_count, 0.0);
-      std::vector<double> demand(tenant_count, 0.0);
       for (std::size_t t = 0; t < tenant_count; ++t) {
         position[t] = tenant_granted[t].sum();
-        demand[t] = tenant_demand_shares[t].sum();
       }
       obs::AuditRound round;
       round.window = w;
       round.position = position;
-      round.demand = demand;
       round.contributed = tenant_contributed;
       round.gained = tenant_gained;
       round.contribution_lambda = tenant_lambda;
@@ -1057,40 +1047,14 @@ SimResult run_simulation(const Scenario& scenario,
         summary.phase_seconds[i] = cumulative - ops_phase_prev[i];
         ops_phase_prev[i] = cumulative;
       }
-      std::span<const obs::AlertTransition> fresh;
-      if (auditor) {
-        summary.active_alerts = auditor->active_alerts();
-        summary.alerts_total = auditor->alerts().size();
-        fresh = auditor->transitions_since(ops_transition_cursor);
-      }
       if (config.incidents != nullptr) {
         config.incidents->observe_round(summary);
       }
       if (config.journal != nullptr) {
-        for (const obs::AlertTransition& tr : fresh) {
-          obs::JournalAlert alert;
-          alert.kind = obs::to_string(tr.kind);
-          alert.raised = tr.raised;
-          alert.tenant = tr.tenant;
-          if (tr.tenant >= 0) {
-            alert.tenant_name =
-                cl.tenants()[static_cast<std::size_t>(tr.tenant)].name;
-          }
-          alert.window = tr.window;
-          alert.value = tr.value;
-          alert.threshold = tr.threshold;
-          config.journal->record_alert(alert);
-        }
         relay_incidents();
         config.journal->record_round(summary);
       }
-      ops_transition_cursor += fresh.size();
-      if (config.ops != nullptr) {
-        if (auditor) {
-          config.ops->set_alerts_json(obs::alerts_document(*auditor).dump());
-        }
-        config.ops->publish_round(summary);
-      }
+      if (config.ops != nullptr) config.ops->publish_round(summary);
     }
 
     if (config.recorder != nullptr) {
@@ -1148,11 +1112,10 @@ SimResult run_simulation(const Scenario& scenario,
   if (config.incidents != nullptr) {
     config.incidents->finalize();
     relay_incidents();
-    // The providers capture auditor/shard state local to this run; never
+    // The providers capture shard state local to this run; never
     // leave them dangling on the caller-owned manager.
     config.incidents->clear_providers();
   }
-  if (auditor) result.alerts = auditor->alerts();
   if (obs::metrics_enabled()) {
     obs::metrics().counter("engine.windows").add(windows);
     obs::metrics().counter("engine.alloc_rounds").add(result.alloc_invocations);

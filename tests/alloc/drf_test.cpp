@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -144,6 +145,30 @@ TEST(Drf, DemandOnZeroCapacityThrows) {
   const std::vector<AllocationEntity> users{
       entity({1.0, 1.0}, {1.0, 1.0}, 1.0)};
   EXPECT_THROW(DrfAllocator{}.allocate(capacity, users), PreconditionError);
+}
+
+TEST(Drf, NonFiniteInputsAreRejectedNotTurnedIntoNan) {
+  // An infinite demand must be rejected at the boundary: inside the
+  // progressive-filling loop it turns into a NaN allocation.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const ResourceVector capacity{1000.0, 1000.0};
+  const std::vector<AllocationEntity> inf_demand{
+      entity({500.0, 500.0}, {inf, 100.0}, 1.0),
+      entity({500.0, 500.0}, {200.0, 200.0}, 1.0)};
+  EXPECT_THROW(DrfAllocator{}.allocate(capacity, inf_demand),
+               PreconditionError);
+  const std::vector<AllocationEntity> nan_share{
+      entity({nan, 500.0}, {100.0, 100.0}, 1.0)};
+  EXPECT_THROW(DrfAllocator{}.allocate(capacity, nan_share),
+               PreconditionError);
+  const std::vector<AllocationEntity> inf_weight{
+      entity({500.0, 500.0}, {100.0, 100.0}, inf)};
+  EXPECT_THROW(DrfAllocator{}.allocate(capacity, inf_weight),
+               PreconditionError);
+  EXPECT_THROW(DrfAllocator{}.allocate(ResourceVector{inf, 1000.0},
+                                       inf_weight),
+               PreconditionError);
 }
 
 // --- the paper's sequential variant ---

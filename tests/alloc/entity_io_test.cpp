@@ -74,6 +74,27 @@ TEST(EntityIo, RejectsMalformedInput) {
     std::stringstream header_only("name,s0,s1,d0,d1\n");
     EXPECT_THROW(read_entities_csv(header_only), DomainError);
   }
+  for (const char* cell : {"inf", "-inf", "nan", "INF", "NaN"}) {
+    std::stringstream non_finite(std::string("name,s0,s1,d0,d1\nA,1,2,") +
+                                 cell + ",4\n");
+    EXPECT_THROW(read_entities_csv(non_finite), DomainError) << cell;
+  }
+}
+
+TEST(EntityIo, FormatResultPrintsFractionsExactly) {
+  std::stringstream in(
+      "name,s0,s1,d0,d1\n"
+      "a,1.5,2.25,0.5,0.125\n");
+  const auto entities = read_entities_csv(in);
+  AllocationResult result;
+  result.allocations = {ResourceVector{0.5, 0.125}};
+  result.unallocated = ResourceVector{2.5, 3.875};
+  const std::string text = format_result(entities, result);
+  EXPECT_NE(text.find("<1.5, 2.25>"), std::string::npos) << text;
+  EXPECT_NE(text.find("<0.5, 0.125>"), std::string::npos) << text;
+  EXPECT_NE(text.find("<2.5, 3.875>"), std::string::npos) << text;
+  EXPECT_NE(text.find("-3.125"), std::string::npos) << text;  // the gain
+  EXPECT_EQ(format_exact(ResourceVector{0.1, 300.0}), "<0.1, 300>");
 }
 
 TEST(EntityIo, FormatResultShowsEveryEntityAndIdleRow) {

@@ -218,7 +218,7 @@ TEST(ObsExposition, LabelValuesAreEscaped) {
 TEST(ObsExposition, ServerServesMetricsHealthAndNotFound) {
   MetricsRegistry registry;
   registry.gauge("fairness.jain_index").set(0.97);
-  registry.counter("fairness.alerts").add(2);
+  registry.counter("engine.windows").add(2);
 
   ExpositionServer::Config config;
   config.port = 0;  // ephemeral
@@ -231,7 +231,7 @@ TEST(ObsExposition, ServerServesMetricsHealthAndNotFound) {
   EXPECT_NE(metrics.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
   EXPECT_NE(metrics.find("rrf_fairness_jain_index 0.97"), std::string::npos);
-  EXPECT_NE(metrics.find("rrf_fairness_alerts 2"), std::string::npos);
+  EXPECT_NE(metrics.find("rrf_engine_windows 2"), std::string::npos);
 
   const std::string json = http_get(server.port(), "/metrics.json");
   EXPECT_NE(json.find("application/json"), std::string::npos);
@@ -348,26 +348,22 @@ TEST(ObsExposition, NonGetMethodsGet405) {
   server.stop();
 }
 
-TEST(ObsExposition, AlertsEndpointServesTheHubDocument) {
-  // Degraded mode first: no hub attached -> the empty document.
+TEST(ObsExposition, RetiredAlertsRouteAnswers404) {
+  // Alerting lives behind /incidents; /alerts is an unknown route with or
+  // without an ops hub attached.
   ExpositionServer bare;
   bare.start();
-  const std::string empty = http_get(bare.port(), "/alerts");
-  EXPECT_NE(empty.find("HTTP/1.1 200"), std::string::npos);
-  EXPECT_NE(empty.find("application/json"), std::string::npos);
-  EXPECT_NE(empty.find(R"("active":[])"), std::string::npos);
+  const std::string degraded = http_get(bare.port(), "/alerts");
+  EXPECT_NE(degraded.find("HTTP/1.1 404"), std::string::npos) << degraded;
   bare.stop();
 
   OpsHub hub;
-  hub.set_alerts_json(R"({"windows":9,"active":[{"kind":"jain"}]})");
   ExpositionServer::Config config;
   config.ops = &hub;
   ExpositionServer server(config);
   server.start();
-  const std::string alerts = http_get(server.port(), "/alerts");
-  EXPECT_NE(alerts.find(R"({"windows":9,"active":[{"kind":"jain"}]})"),
-            std::string::npos)
-      << alerts;
+  const std::string full = http_get(server.port(), "/alerts");
+  EXPECT_NE(full.find("HTTP/1.1 404"), std::string::npos) << full;
   server.stop();
 }
 

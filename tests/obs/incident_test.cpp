@@ -164,8 +164,6 @@ TEST(IncidentManager, MetadataAndProvidersLandInTheBundle) {
   const std::string dir = fresh_dir("incident_bundle");
   IncidentManager manager(quick_config(dir));
   manager.set_metadata("policy", "rrf");
-  manager.set_alerts_provider(
-      [] { return std::string(R"({"active":[],"resolved":[],"total":0})"); });
   manager.set_extra_provider("shards.json", [] {
     return std::string(R"({"schema":"rrf-shards","version":1,"shards":[]})");
   });

@@ -47,29 +47,14 @@ RoundSummary round_at(std::size_t window) {
   return summary;
 }
 
-JournalAlert alert_at(std::size_t window, bool raised) {
-  JournalAlert alert;
-  alert.kind = "starvation";
-  alert.raised = raised;
-  alert.tenant = 1;
-  alert.tenant_name = "hadoop-2";
-  alert.window = window;
-  alert.value = 0.4;
-  alert.threshold = 0.5;
-  return alert;
-}
-
 TEST(JournalTest, WriteLoadRoundTrip) {
   const std::string path = temp_path("journal_roundtrip.jsonl");
   {
     TelemetryJournal journal(options_for(path));
     journal.record_round(round_at(0));
-    journal.record_alert(alert_at(1, true));
     journal.record_round(round_at(1));
-    journal.record_alert(alert_at(5, false));
     journal.finish();
     EXPECT_EQ(journal.rounds_recorded(), 2u);
-    EXPECT_EQ(journal.alerts_recorded(), 2u);
     EXPECT_GT(journal.bytes_written(), 0u);
   }
   const JournalData data = JournalData::load_file(path);
@@ -82,13 +67,8 @@ TEST(JournalTest, WriteLoadRoundTrip) {
   ASSERT_EQ(data.rounds.size(), 2u);
   EXPECT_EQ(data.rounds[0].window, 0u);
   EXPECT_EQ(data.rounds[1].window, 1u);
-  ASSERT_EQ(data.alerts.size(), 2u);
-  EXPECT_TRUE(data.alerts[0].raised);
-  EXPECT_FALSE(data.alerts[1].raised);
-  EXPECT_EQ(data.alerts[0].tenant_name, "hadoop-2");
   ASSERT_TRUE(data.end.has_value());
   EXPECT_EQ(data.end->rounds, 2u);
-  EXPECT_EQ(data.end->alerts, 2u);
   EXPECT_FALSE(data.truncated_tail);
 }
 
@@ -225,36 +205,48 @@ TEST(JournalTest, SchemaViolationsThrow) {
   // Unknown record tag after a valid header.
   {
     std::ofstream out(path, std::ios::trunc);
-    out << R"({"schema":"rrf-telemetry","version":1,"kind":"sim",)"
+    out << R"({"schema":"rrf-telemetry","version":2,"kind":"sim",)"
         << R"("policy":"rrf","tenants":[],"segment":0,"continued":false})"
         << "\n"
         << R"({"t":"mystery"})" << "\n"
-        << R"({"t":"end","rounds":0,"alerts":0})" << "\n";
+        << R"({"t":"end","rounds":0,"incidents":0})" << "\n";
   }
   EXPECT_THROW(JournalData::load_file(path), DomainError);
   // Records after the end marker.
   {
     std::ofstream out(path, std::ios::trunc);
-    out << R"({"schema":"rrf-telemetry","version":1,"kind":"sim",)"
+    out << R"({"schema":"rrf-telemetry","version":2,"kind":"sim",)"
         << R"("policy":"rrf","tenants":[],"segment":0,"continued":false})"
         << "\n"
-        << R"({"t":"end","rounds":0,"alerts":0})" << "\n"
-        << R"({"t":"end","rounds":0,"alerts":0})" << "\n";
+        << R"({"t":"end","rounds":0,"incidents":0})" << "\n"
+        << R"({"t":"end","rounds":0,"incidents":0})" << "\n";
   }
   EXPECT_THROW(JournalData::load_file(path), DomainError);
   EXPECT_THROW(JournalData::load_file(path + ".does-not-exist"), DomainError);
 }
 
-TEST(JournalTest, AlertJsonRoundTrip) {
-  const JournalAlert in = alert_at(7, true);
-  const JournalAlert out = journal_alert_from_json(journal_alert_to_json(in));
-  EXPECT_EQ(out.kind, in.kind);
-  EXPECT_EQ(out.raised, in.raised);
-  EXPECT_EQ(out.tenant, in.tenant);
-  EXPECT_EQ(out.tenant_name, in.tenant_name);
-  EXPECT_EQ(out.window, in.window);
-  EXPECT_DOUBLE_EQ(out.value, in.value);
-  EXPECT_DOUBLE_EQ(out.threshold, in.threshold);
+TEST(JournalTest, VersionOneFileIsRejectedAsUnsupported) {
+  // Version 1 journals may carry the retired "alert" records; the header
+  // check must reject them before any record tag is looked at.
+  const std::string path = temp_path("journal_v1.jsonl");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << R"({"schema":"rrf-telemetry","version":1,"kind":"sim",)"
+        << R"("policy":"rrf","tenants":[],"segment":0,"continued":false})"
+        << "\n"
+        << R"({"t":"alert","state":"raised","kind":"jain","tenant":-1,)"
+        << R"("tenant_name":"","window":3,"value":0.5,"threshold":0.85})"
+        << "\n"
+        << R"({"t":"end","rounds":0,"alerts":1,"incidents":0})" << "\n";
+  }
+  try {
+    JournalData::load_file(path);
+    FAIL() << "a version-1 journal loaded";
+  } catch (const DomainError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 JournalIncident incident_at(std::size_t window, bool opened) {

@@ -1,5 +1,5 @@
-// Ops-plane data model: RoundSummary JSON round-trips, the /alerts
-// document, and the OpsHub ring's cursor/drop semantics.
+// Ops-plane data model: RoundSummary JSON round-trips and the OpsHub
+// ring's cursor/drop semantics.
 #include "obs/ops.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "obs/audit.hpp"
 
 namespace rrf::obs {
 namespace {
@@ -24,8 +23,6 @@ RoundSummary sample_summary() {
   summary.jain = 0.9725;
   summary.slots = 12;
   summary.phase_seconds = {1e-3, 2e-3, 3e-3, 4e-3};
-  summary.active_alerts = 1;
-  summary.alerts_total = 3;
   TenantRoundStat a;
   a.name = "tpcc-1";
   a.share = 1.25;
@@ -54,8 +51,6 @@ TEST(OpsRoundSummary, JsonRoundTripPreservesEveryField) {
   for (std::size_t i = 0; i < kPhaseCount; ++i) {
     EXPECT_DOUBLE_EQ(out.phase_seconds[i], in.phase_seconds[i]) << i;
   }
-  EXPECT_EQ(out.active_alerts, in.active_alerts);
-  EXPECT_EQ(out.alerts_total, in.alerts_total);
   ASSERT_EQ(out.tenants.size(), in.tenants.size());
   for (std::size_t i = 0; i < in.tenants.size(); ++i) {
     EXPECT_EQ(out.tenants[i].name, in.tenants[i].name);
@@ -129,71 +124,6 @@ TEST(OpsRoundSummary, RejectsSchemaViolations) {
                DomainError);
 }
 
-TEST(OpsAlerts, EmptyDocumentIsValidJson) {
-  const json::Value doc = json::Value::parse(empty_alerts_document());
-  EXPECT_TRUE(doc.find("active")->as_array().empty());
-  EXPECT_TRUE(doc.find("resolved")->as_array().empty());
-  EXPECT_DOUBLE_EQ(doc.find("total")->as_number(), 0.0);
-}
-
-TEST(OpsAlerts, DocumentTracksRaiseAndResolve) {
-  AuditConfig config;
-  config.warmup_windows = 0;
-  config.jain_min = 0.95;
-  config.beta_drift_max = 1e9;  // keep the other rules quiet
-  config.reciprocity_gain_max = 1e9;
-  config.starvation_windows = 1000;
-  config.log_alerts = false;
-  MetricsRegistry registry;
-  FairnessAuditor auditor(config, {"a", "b"}, {100.0, 100.0}, &registry);
-
-  // Window 0: wildly unequal positions drive Jain below the SLO.
-  const std::vector<double> skewed = {190.0, 10.0};
-  const std::vector<double> demand = {100.0, 100.0};
-  const std::vector<double> zero = {0.0, 0.0};
-  AuditRound round;
-  round.window = 0;
-  round.position = skewed;
-  round.demand = demand;
-  round.contributed = zero;
-  round.gained = zero;
-  auditor.observe_round(round);
-
-  json::Value doc = alerts_document(auditor);
-  ASSERT_EQ(doc.find("active")->as_array().size(), 1u);
-  const json::Value& entry = doc.find("active")->as_array()[0];
-  EXPECT_EQ(entry.find("kind")->as_string(), "jain");
-  EXPECT_TRUE(entry.find("tenant")->is_null());  // cluster-wide
-  EXPECT_DOUBLE_EQ(entry.find("raise_count")->as_number(), 1.0);
-  EXPECT_LT(entry.find("value")->as_number(),
-            entry.find("threshold")->as_number());
-  EXPECT_DOUBLE_EQ(doc.find("counts")->find("jain")->as_number(), 1.0);
-  EXPECT_DOUBLE_EQ(doc.find("total")->as_number(), 1.0);
-
-  // Equal rounds until the cumulative Jain recovers past the hysteresis.
-  const std::vector<double> equal = {100.0, 100.0};
-  round.position = equal;
-  for (std::size_t w = 1; w < 200 && auditor.active_alerts() > 0; ++w) {
-    round.window = w;
-    auditor.observe_round(round);
-  }
-  ASSERT_EQ(auditor.active_alerts(), 0u);
-  doc = alerts_document(auditor);
-  EXPECT_TRUE(doc.find("active")->as_array().empty());
-  ASSERT_EQ(doc.find("resolved")->as_array().size(), 1u);
-  const json::Value& done = doc.find("resolved")->as_array()[0];
-  EXPECT_EQ(done.find("kind")->as_string(), "jain");
-  EXPECT_GT(done.find("resolved_window")->as_number(),
-            done.find("raised_window")->as_number());
-
-  // The transition log saw exactly one raise edge and one resolve edge.
-  ASSERT_EQ(auditor.transitions().size(), 2u);
-  EXPECT_TRUE(auditor.transitions()[0].raised);
-  EXPECT_FALSE(auditor.transitions()[1].raised);
-  EXPECT_EQ(auditor.transitions_since(1).size(), 1u);
-  EXPECT_EQ(auditor.transitions_since(2).size(), 0u);
-}
-
 TEST(OpsHubTest, PublishesLinesInOrder) {
   OpsHub hub;
   RoundSummary summary = sample_summary();
@@ -254,13 +184,6 @@ TEST(OpsHubTest, WaitBlocksUntilAPublishArrives) {
       hub.wait_lines(&cursor, &lines, std::chrono::seconds(5));
   publisher.join();
   EXPECT_EQ(n, 1u);
-}
-
-TEST(OpsHubTest, AlertsJsonStartsEmptyAndIsReplaceable) {
-  OpsHub hub;
-  EXPECT_EQ(hub.alerts_json(), empty_alerts_document());
-  hub.set_alerts_json(R"({"windows":7})");
-  EXPECT_EQ(hub.alerts_json(), R"({"windows":7})");
 }
 
 TEST(OpsHubTest, WatchdogClockIsInfiniteBeforeTheFirstRound) {

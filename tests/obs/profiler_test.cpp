@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
@@ -203,16 +204,31 @@ TEST(ObsProfiler, ParallelForMergesArenasWithoutLosingCounts) {
 
 TEST(ObsProfiler, PoolObserverCountsTasksAndNamesWorkers) {
   ProfilingOn guard;
-  if (global_pool().thread_count() <= 1) {
-    GTEST_SKIP() << "parallel_for falls back to serial without workers";
-  }
-  // Enough chunky work to force pool dispatch past the serial cutoff.
+  // A pool built after the observer is installed: each worker names
+  // itself before its first wait, and reports every task it dequeues.
+  ThreadPool pool(2);
+  // The calling thread steals chunks too and could drain them all before
+  // any worker wakes.  Its first iteration therefore waits until a worker
+  // has run one, which pins at least one observed task on a worker.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> worker_ran{false};
   std::atomic<std::uint64_t> sink{0};
-  global_pool().parallel_for(256, [&](std::size_t i) {
+  pool.parallel_for(256, [&](std::size_t i) {
+    if (std::this_thread::get_id() != caller) {
+      worker_ran.store(true);
+    } else {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (!worker_ran.load() &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
     std::uint64_t h = i + 1;
     for (int r = 0; r < 2000; ++r) h = h * 6364136223846793005ULL + 1;
     sink.fetch_add(h | 1, std::memory_order_relaxed);
   });
+  ASSERT_TRUE(worker_ran.load()) << "no pool worker ran an iteration";
   const ProfileSnapshot snapshot = profile_snapshot();
   EXPECT_GE(snapshot.pool.parallel_fors, 1u);
   EXPECT_GE(snapshot.pool.tasks, 1u);

@@ -1,7 +1,7 @@
 // rrf_top rendering core against a canned /rounds NDJSON fixture: the
 // feed accumulator (round + gap records, malformed lines), the frame
-// renderer (share bars, Jain/drift sparklines, alert and incident
-// panes) and the HTTP head/chunk decoding helpers.
+// renderer (share bars, Jain/drift sparklines, the incident pane) and the
+// HTTP head/chunk decoding helpers.
 #include "obs/topview.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +13,9 @@ namespace rrf::obs::top {
 namespace {
 
 /// What a live `/rounds` subscription would deliver: two round records,
-/// one ring-overflow gap record, and one foreign line to be skipped.
+/// one ring-overflow gap record, and one foreign line to be skipped.  The
+/// round records carry the retired alert counts of older servers, which
+/// the feed ignores.
 const char* const kRoundsFixture[] = {
     R"({"t":"round","window":7,"time":35,"jain":0.981,"slots":32,)"
     R"("phase_seconds":{"predict":1e-4,"allocate":2e-4,"actuate":1e-4,)"
@@ -32,11 +34,6 @@ const char* const kRoundsFixture[] = {
     R"({"name":"hadoop","share":0.69,"demand":0.4,"granted":0.69,)"
     R"("contributed":40.2,"gained":0}]})",
 };
-
-const char* const kAlertsFixture =
-    R"({"active":[{"kind":"starvation","tenant":"hadoop",)"
-    R"("raised_window":6,"value":0.41,"threshold":0.5,"raise_count":1}],)"
-    R"("resolved":[],"total":2})";
 
 const char* const kIncidentsFixture =
     R"({"schema":"rrf-incidents","version":1,"open":1,"total":1,)"
@@ -74,12 +71,11 @@ TEST(TopFeed, HistoryIsBoundedByTheWindowLimit) {
   EXPECT_EQ(feed.history.front().window, 7u);
 }
 
-TEST(TopRender, FrameShowsShareBarsSparklinesAlertsAndIncidents) {
+TEST(TopRender, FrameShowsShareBarsSparklinesAndIncidents) {
   Feed feed;
   load_fixture(feed);
-  const std::string frame = render_frame(feed, "localhost:9090",
-                                         kAlertsFixture, "",
-                                         kIncidentsFixture);
+  const std::string frame =
+      render_frame(feed, "localhost:9090", "", kIncidentsFixture);
   // Header: latest window, jain, round count with the gap annotation.
   EXPECT_NE(frame.find("window 8"), std::string::npos);
   EXPECT_NE(frame.find("jain 0.875"), std::string::npos);
@@ -94,11 +90,6 @@ TEST(TopRender, FrameShowsShareBarsSparklinesAlertsAndIncidents) {
   EXPECT_NE(frame.find("jain  "), std::string::npos);
   EXPECT_NE(frame.find("[0.875, 0.981]"), std::string::npos);
   EXPECT_NE(frame.find("drift "), std::string::npos);
-  // Alert pane: the active starvation alert is itemized.
-  EXPECT_NE(frame.find("alerts: 1 active, 2 raised total"),
-            std::string::npos);
-  EXPECT_NE(frame.find("starvation tenant=hadoop value=0.410"),
-            std::string::npos);
   // Incident pane: open/total counts and the incident line.
   EXPECT_NE(frame.find("incidents: 1 open, 1 total"), std::string::npos);
   EXPECT_NE(frame.find("inc-0001"), std::string::npos);
@@ -106,7 +97,7 @@ TEST(TopRender, FrameShowsShareBarsSparklinesAlertsAndIncidents) {
 
 TEST(TopRender, EmptyFeedAndQuietIncidentsStayCompact) {
   Feed feed;
-  const std::string frame = render_frame(feed, "localhost:0", "{}", "", "");
+  const std::string frame = render_frame(feed, "localhost:0", "", "");
   EXPECT_NE(frame.find("(no rounds received yet)"), std::string::npos);
   // A quiet cluster pays no incident pane at all.
   EXPECT_EQ(render_incidents(""), "");

@@ -5,6 +5,7 @@
 // the false-positive guard that makes the detectors pageable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -36,7 +37,6 @@ EngineConfig engine_config() {
   config.policy = PolicyKind::kRrf;
   config.duration = 1000.0;  // 200 rounds at window 5
   config.window = 5.0;
-  config.audit.log_alerts = false;
   return config;
 }
 
@@ -52,7 +52,8 @@ TEST(IncidentIntegration, OversoldClusterOpensExactlyOneIncident) {
   config.incidents = &incidents;
   // 2.5x overcommit at fill 0.9: 2.25 shares sold per physical share,
   // so every saturated tenant is granted ~44% of its entitlement.
-  run_simulation(make_synthetic_scenario(synthetic_config(2.5)), config);
+  const Scenario scenario = make_synthetic_scenario(synthetic_config(2.5));
+  run_simulation(scenario, config);
 
   ASSERT_EQ(incidents.opened_total(), 1u)
       << "concurrent starvation/drift/changepoint detections must "
@@ -62,7 +63,17 @@ TEST(IncidentIntegration, OversoldClusterOpensExactlyOneIncident) {
   const obs::Incident& incident = all[0];
   EXPECT_EQ(incident.id, "inc-0001");
   EXPECT_GE(incident.kinds.size(), 2u);
-  EXPECT_FALSE(incident.tenants.empty()) << "starved tenants must be named";
+  EXPECT_NE(std::find(incident.kinds.begin(), incident.kinds.end(),
+                      "starvation"),
+            incident.kinds.end());
+  // Every tenant is saturated, so every tenant is starved and named.
+  for (const auto& tenant : scenario.cluster.tenants()) {
+    EXPECT_TRUE(std::any_of(incident.tenants.begin(), incident.tenants.end(),
+                            [&](const obs::IncidentTenant& t) {
+                              return t.name == tenant.name;
+                            }))
+        << tenant.name << " is not named by the incident";
+  }
 
   // The bundle on disk round-trips the offline loader used by
   // `rrf_inspect incident validate`.

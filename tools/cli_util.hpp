@@ -17,7 +17,7 @@ namespace rrf::tools {
 /// Help text for the shared journal flags (same indentation as the rest
 /// of each tool's usage block).
 inline constexpr const char* kJournalFlagsHelp =
-    "  --journal <path>    append a schema-v1 telemetry journal (JSONL);\n"
+    "  --journal <path>    append a schema-v2 telemetry journal (JSONL);\n"
     "                      inspect with rrf_inspect journal\n"
     "  --journal-retention <bytes>  bound journal disk use via two-segment\n"
     "                      rotation (default 0 = unbounded)\n";

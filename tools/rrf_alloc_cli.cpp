@@ -50,7 +50,7 @@ using namespace rrf;
       "                    collapsed-stack flamegraph text otherwise\n"
       << tools::kJournalFlagsHelp <<
       "  --serve-ops <p>   serve the ops plane (/metrics, /healthz,\n"
-      "                    /readyz, /alerts, /rounds, /profile) on port\n"
+      "                    /readyz, /rounds, /profile) on port\n"
       "                    <p> after the round (0 = ephemeral)\n"
       "  --serve-hold <s>  keep the ops server up <s> seconds (default 5)\n"
       "  <csv>       entity file, or '-' for stdin\n";
@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
     const alloc::AllocationResult result =
         policy->allocate(capacity, entities);
     std::cout << "policy: " << policy_name << ", capacity "
-              << capacity.to_string(0) << "\n"
+              << alloc::format_exact(capacity) << "\n"
               << alloc::format_result(entities, result);
     if (!record_path.empty()) {
       // Re-running the (deterministic) policy under a provenance scope

@@ -47,7 +47,7 @@ using namespace rrf;
       "      prediction, IRT contribution trading (Algorithm 1 lines),\n"
       "      IWA flows, final entitlement and actuator targets\n\n"
       "  rrf_inspect journal <telemetry.jsonl> [--tail <n>]\n"
-      "      validate and summarize a telemetry journal (rounds, alert\n"
+      "      validate and summarize a telemetry journal (rounds, incident\n"
       "      transitions, fairness ranges, clean-shutdown state); --tail\n"
       "      prints the last <n> round records; exit 1 on any schema\n"
       "      violation\n\n"
@@ -184,7 +184,8 @@ int cmd_journal(const std::vector<std::string>& args) {
             << ", policy " << journal.header.policy << ", "
             << journal.header.tenants.size() << " tenant(s)\n";
   std::cout << "  rounds: " << journal.rounds.size()
-            << ", alert transitions: " << journal.alerts.size() << "\n";
+            << ", incident transitions: " << journal.incidents.size()
+            << "\n";
   if (!journal.rounds.empty()) {
     double jain_lo = journal.rounds.front().jain;
     double jain_hi = jain_lo;
@@ -196,17 +197,9 @@ int cmd_journal(const std::vector<std::string>& args) {
               << journal.rounds.back().window << ", jain "
               << format_num(jain_lo) << ".." << format_num(jain_hi) << "\n";
   }
-  std::size_t raised = 0;
-  for (const obs::JournalAlert& alert : journal.alerts) {
-    if (alert.raised) ++raised;
-  }
-  if (!journal.alerts.empty()) {
-    std::cout << "  alerts: " << raised << " raised, "
-              << journal.alerts.size() - raised << " resolved\n";
-  }
   if (journal.end.has_value()) {
     std::cout << "  clean shutdown (end record: " << journal.end->rounds
-              << " rounds, " << journal.end->alerts << " alerts)\n";
+              << " rounds, " << journal.end->incidents << " incidents)\n";
   } else {
     std::cout << "  no end record — the run was killed or is still "
                  "writing";

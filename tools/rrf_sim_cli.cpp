@@ -6,7 +6,6 @@
 //   rrf_sim_cli --policy all --fill        # compare every policy
 //
 // Run with --help for the full flag list.
-#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -24,7 +23,6 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/experiments.hpp"
-#include "obs/audit.hpp"
 #include "obs/exposition.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/incident.hpp"
@@ -72,7 +70,7 @@ struct CliOptions {
   /// Live Prometheus exposition: port to serve /metrics on (-1 = off,
   /// 0 = ephemeral).
   int serve_port = -1;
-  /// Full ops plane (adds /rounds, /alerts, /readyz watchdog, /profile);
+  /// Full ops plane (adds /rounds, /readyz watchdog, /profile, /incidents);
   /// takes precedence over --serve-metrics when both are given.
   int serve_ops_port = -1;
   /// Seconds to keep serving after the runs finish (CI scrapes / demos).
@@ -144,9 +142,10 @@ struct CliOptions {
       "                      fairness auditor.\n"
       "  --serve-ops <p>     serve the full ops plane on port <p> (0 picks\n"
       "                      an ephemeral port): /metrics, /metrics.json,\n"
-      "                      /healthz, /readyz (stall watchdog), /alerts,\n"
-      "                      /rounds (streaming NDJSON round feed; follow\n"
-      "                      it live with curl or rrf_top) and /profile.\n"
+      "                      /healthz, /readyz (stall watchdog), /rounds\n"
+      "                      (streaming NDJSON round feed; follow it live\n"
+      "                      with curl or rrf_top), /profile and\n"
+      "                      /incidents.\n"
       "                      Implies metric collection and the auditor.\n"
       "  --serve-hold <s>    keep serving <s> seconds after the runs finish\n"
       "                      (default 0; use with --serve-metrics/ops)\n"
@@ -395,37 +394,14 @@ void write_observability_outputs(const CliOptions& options) {
   }
 }
 
-void print_alert_summary(const sim::SimResult& result) {
-  if (result.alerts.empty()) {
-    std::cout << "fairness alerts: none\n";
-    return;
-  }
-  std::array<std::size_t, obs::kAlertKindCount> by_kind{};
-  for (const obs::Alert& alert : result.alerts) {
-    ++by_kind[static_cast<std::size_t>(alert.kind)];
-  }
-  std::cout << "fairness alerts: " << result.alerts.size() << " (";
-  bool first = true;
-  for (std::size_t k = 0; k < obs::kAlertKindCount; ++k) {
-    if (by_kind[k] == 0) continue;
-    if (!first) std::cout << ", ";
-    first = false;
-    std::cout << obs::to_string(static_cast<obs::AlertKind>(k)) << "="
-              << by_kind[k];
-  }
-  std::cout << ")\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const CliOptions options = parse(argc, argv);
   const bool serve_ops = options.serve_ops_port >= 0;
   obs::set_tracing_enabled(!options.trace_path.empty());
-  // Journaling needs the auditor (alert transitions), which needs metrics.
   obs::set_metrics_enabled(!options.metrics_path.empty() ||
-                           options.serve_port >= 0 || serve_ops ||
-                           options.journal.enabled());
+                           options.serve_port >= 0 || serve_ops);
   obs::set_profiling_enabled(!options.profile_path.empty());
   if (obs::profiling_enabled()) obs::set_thread_name("main");
 
@@ -555,7 +531,6 @@ int main(int argc, char** argv) {
               << TextTable::pct(result.mean_utilization[1])
               << "; allocator load "
               << TextTable::pct(result.allocator_load(), 4) << "\n";
-    if (obs::metrics_enabled()) print_alert_summary(result);
     std::cout << "\n";
   }
 
@@ -576,7 +551,6 @@ int main(int argc, char** argv) {
     journal->finish();
     std::cout << "wrote " << options.journal.path << " ("
               << journal->rounds_recorded() << " rounds, "
-              << journal->alerts_recorded() << " alert transitions, "
               << journal->incidents_recorded() << " incident transitions, "
               << journal->bytes_written() << " bytes";
     if (journal->segment() > 0) {
