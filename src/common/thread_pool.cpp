@@ -74,7 +74,7 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       });
       if (stopping_ && tasks_.empty()) return;
       task = std::move(tasks_.front());
-      tasks_.pop();
+      tasks_.pop_front();
       depth_after = tasks_.size();
     }
 
@@ -173,11 +173,12 @@ void ThreadPool::parallel_for(std::size_t n,
     for (std::size_t t = 0; t < helpers; ++t) {
       QueuedTask task;
       task.fn = [ctx] { ctx->run(); };
+      task.owner = ctx.get();
       if (observer != nullptr) {
         task.enqueued = std::chrono::steady_clock::now();
         task.stamped = true;
       }
-      tasks_.push(std::move(task));
+      tasks_.push_back(std::move(task));
     }
   }
   cv_.notify_all();
@@ -193,6 +194,15 @@ void ThreadPool::parallel_for(std::size_t n,
   {
     ActivePoolScope in_pool(this);
     ctx->run();
+  }
+  {
+    // Every chunk is claimed now.  A helper still queued would only wake
+    // a worker to find nothing left, and would show up in a later
+    // observer's task counts; retract it.
+    MutexLock lock(mu_);
+    std::erase_if(tasks_, [&](const QueuedTask& task) {
+      return task.owner == ctx.get();
+    });
   }
   {
     std::unique_lock lock(ctx->done_mu);

@@ -17,8 +17,8 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
+#include <deque>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -80,18 +80,21 @@ class ThreadPool {
 
  private:
   /// A queued task; `enqueued` is stamped only while an observer is
-  /// installed (keeps the unobserved enqueue path clock-free).
+  /// installed (keeps the unobserved enqueue path clock-free).  `owner`
+  /// names the parallel_for call that queued it, so the call can retract
+  /// helpers nobody started before it returns.
   struct QueuedTask {
     std::function<void()> fn;
     std::chrono::steady_clock::time_point enqueued{};
     bool stamped{false};
+    const void* owner{nullptr};
   };
 
   void worker_loop(std::size_t worker_index);
 
   std::vector<std::thread> workers_;
   InstrumentedMutex mu_{"thread_pool.queue"};
-  std::queue<QueuedTask> tasks_ GUARDED_BY(mu_);
+  std::deque<QueuedTask> tasks_ GUARDED_BY(mu_);
   std::condition_variable_any cv_;
   bool stopping_ GUARDED_BY(mu_){false};
 };
