@@ -52,10 +52,12 @@ Hot-path hygiene:
 
   hot-path     Heap-allocating constructs inside the per-round sections
                marked `// rrf-hot-path: begin(<name>)` ... `end(<name>)`
-               (src/sim/engine.cpp, src/alloc/irt.cpp, src/alloc/iwa.cpp).
-               Flagged: `new`, make_unique/make_shared, constructing a
-               std:: container/string by value, std::to_string, and
-               push_back/emplace_back (reserve + assign scratch instead).
+               (src/sim/engine.cpp, src/alloc/irt.cpp, src/alloc/iwa.cpp,
+               src/alloc/rrf.cpp).  Flagged: `new`, make_unique/make_shared,
+               constructing a std:: container/string by value,
+               std::to_string, push_back/emplace_back (reserve + assign
+               scratch instead), and std::stable_sort/stable_partition/
+               inplace_merge (each allocates a temporary buffer).
                Code behind the observability/contract guards
                (metrics_enabled(), tracing_enabled(), provenance_sink(),
                contract::armed(), ...) is a cold island and exempt:
@@ -235,6 +237,10 @@ HOT_PATTERNS = [
     (re.compile(r"\.(?:push_back|emplace_back)\s*\("),
      "push_back/emplace_back may reallocate; size the scratch vector "
      "between rounds and assign by index"),
+    (re.compile(r"\bstd::(?:stable_sort|stable_partition|inplace_merge)\b"),
+     "stable_sort/stable_partition/inplace_merge allocate a temporary "
+     "buffer per call; sort precomputed keys with an index tie-break "
+     "(std::sort) or merge into caller scratch"),
 ]
 
 

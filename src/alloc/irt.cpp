@@ -40,26 +40,20 @@ constexpr double kEps = 1e-9;
 /// on a prefix and false after it.
 class BoundarySearch {
  public:
-  /// The three cumulative-sum tables live in caller-provided scratch so
-  /// the per-resource-type loop reuses one heap block instead of
-  /// allocating three vectors per type.
-  struct Scratch {
-    std::vector<double> prefix_demand;
-    std::vector<double> suffix_share;
-    std::vector<double> suffix_lambda;
-  };
-
+  /// The three cumulative-sum tables live in the caller's workspace, so
+  /// the per-resource-type loop reuses its heap blocks across types and
+  /// calls.
   BoundarySearch(double capacity, std::span<const AllocationEntity> entities,
                  std::span<const double> lambda,
                  std::span<const std::size_t> order, std::size_t k,
-                 Scratch& scratch)
+                 IrtWorkspace& ws)
       : entities_(entities),
         lambda_(lambda),
         order_(order),
         k_(k),
-        prefix_demand_(scratch.prefix_demand),
-        suffix_share_(scratch.suffix_share),
-        suffix_lambda_(scratch.suffix_lambda) {
+        prefix_demand_(ws.prefix_demand),
+        suffix_share_(ws.suffix_share),
+        suffix_lambda_(ws.suffix_lambda) {
     const std::size_t m = order.size();
     prefix_demand_.assign(m + 1, 0.0);
     suffix_share_.assign(m + 1, 0.0);
@@ -108,11 +102,9 @@ class BoundarySearch {
   std::vector<double>& suffix_lambda_;
 };
 
-}  // namespace
-
-std::vector<double> IrtAllocator::total_contributions(
-    std::span<const AllocationEntity> entities) {
-  std::vector<double> lambda(entities.size(), 0.0);
+/// Lambda(i) into `lambda` (lambda.size() == entities.size()).
+void fill_contributions(std::span<const AllocationEntity> entities,
+                        std::span<double> lambda) {
   for (std::size_t i = 0; i < entities.size(); ++i) {
     // Instantaneous contribution plus any banked long-term credit
     // (rrf-lt); clamped so a debtor never gets negative priority.
@@ -121,6 +113,14 @@ std::vector<double> IrtAllocator::total_contributions(
         entities[i].initial_share.surplus_over(entities[i].demand).sum() +
             entities[i].banked_contribution);
   }
+}
+
+}  // namespace
+
+std::vector<double> IrtAllocator::total_contributions(
+    std::span<const AllocationEntity> entities) {
+  std::vector<double> lambda(entities.size(), 0.0);
+  fill_contributions(entities, lambda);
   return lambda;
 }
 
@@ -134,6 +134,16 @@ AllocationResult IrtAllocator::allocate_traced(
     const ResourceVector& capacity,
     std::span<const AllocationEntity> entities,
     std::vector<IrtTypeTrace>* traces) const {
+  AllocationResult result;
+  IrtWorkspace workspace;
+  allocate_into(capacity, entities, result, workspace, traces);
+  return result;
+}
+
+void IrtAllocator::allocate_into(const ResourceVector& capacity,
+                                 std::span<const AllocationEntity> entities,
+                                 AllocationResult& result, IrtWorkspace& ws,
+                                 std::vector<IrtTypeTrace>* traces) const {
   obs::ProfileScope profile("irt.allocate");
   validate_entities(capacity, entities);
   const std::size_t p = capacity.size();
@@ -145,8 +155,11 @@ AllocationResult IrtAllocator::allocate_traced(
     invocations.add();
   }
 
+  // rrf-hot-path: begin(irt.allocate)
   // Lines 1-8: initial shares, per-type contributions, total Lambda(i).
-  const std::vector<double> lambda = total_contributions(entities);
+  result.contribution_lambda.resize(m);
+  fill_contributions(entities, result.contribution_lambda);
+  const std::span<const double> lambda = result.contribution_lambda;
 
   if (contract::armed()) {
     // Lambda(i) is a clamped sum of per-type surpluses, so it is bounded
@@ -163,62 +176,66 @@ AllocationResult IrtAllocator::allocate_traced(
     }
   }
 
-  AllocationResult result;
   result.allocations.assign(m, ResourceVector(p));
   result.unallocated = ResourceVector(p);
-  result.contribution_lambda = lambda;
   if (traces) traces->assign(p, IrtTypeTrace{});
 
   // Trade budgets for the strategy-proof variant: a tenant's cumulative
   // gain across all types may not exceed her total contribution.
-  std::vector<double> budget;
-  if (options_.cap_gain_at_contribution) budget = lambda;
+  std::vector<double>& budget = ws.budget;
+  if (options_.cap_gain_at_contribution) {
+    budget.assign(lambda.begin(), lambda.end());
+  }
 
-  // Per-type scratch, reused across the k loop (order is re-filled by
-  // iota + stable_sort each iteration; the cumulative tables are
-  // reassigned by the BoundarySearch constructor).  The suffix
-  // water-fill scratch (caps/weights/extras over at most m entities and
-  // the weighted_max_min_into ordering) is hoisted here too so the loop
-  // body stays heap-allocation-free.
-  std::vector<std::size_t> order(m);
-  BoundarySearch::Scratch search_scratch;
-  std::vector<double> cap_scratch(m), weight_scratch(m), extra_scratch(m);
-  std::vector<std::size_t> wmm_order;
+  // Per-type scratch, reused across the k loop and across calls: the
+  // sort keys and order are re-filled each type, the cumulative tables
+  // are reassigned by the BoundarySearch constructor, and the suffix
+  // water-fill buffers cover at most m entities.
+  ws.keys.resize(m);
+  ws.order.resize(m);
+  ws.caps.resize(m);
+  ws.weights.resize(m);
+  ws.extras.resize(m);
+  ws.wmm_order.reserve(m);
+  const std::span<const std::size_t> order = ws.order;
 
-  // rrf-hot-path: begin(irt.types)
   for (std::size_t k = 0; k < p; ++k) {
     // ---- ordering: contributors by ascending U, then beneficiaries by
     // ascending V (lines 9-14). ----
-    auto is_contributor = [&](std::size_t i) {
-      return entities[i].demand[k] < entities[i].initial_share[k] - kEps;
-    };
-    auto u_of = [&](std::size_t i) {
+    // The keys are computed once per entity; ties keep index order, so
+    // the order equals a stable sort by (beneficiary, U or V) -- see
+    // DESIGN.md §5.
+    std::size_t u = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      const double d = entities[i].demand[k];
       const double s = entities[i].initial_share[k];
-      return s > 0.0 ? entities[i].demand[k] / s : 0.0;
-    };
-    auto v_of = [&](std::size_t i) {
-      const double need =
-          entities[i].demand[k] - entities[i].initial_share[k];
-      if (need <= 0.0) return 0.0;
-      return lambda[i] > 0.0 ? need / lambda[i]
-                             : std::numeric_limits<double>::infinity();
-    };
-
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       const bool ca = is_contributor(a);
-                       const bool cb = is_contributor(b);
-                       if (ca != cb) return ca;  // contributors first
-                       if (ca) return u_of(a) < u_of(b);
-                       return v_of(a) < v_of(b);
-                     });
-    const std::size_t u = static_cast<std::size_t>(std::count_if(
-        order.begin(), order.end(), is_contributor));
+      const double need = d - s;
+      IrtWorkspace::SortKey& key = ws.keys[i];
+      key.beneficiary = !(d < s - kEps);
+      if (!key.beneficiary) {
+        key.value = s > 0.0 ? d / s : 0.0;
+        ++u;
+      } else if (need <= 0.0) {
+        key.value = 0.0;
+      } else {
+        key.value = lambda[i] > 0.0 ? need / lambda[i]
+                                    : std::numeric_limits<double>::infinity();
+      }
+    }
+    std::iota(ws.order.begin(), ws.order.end(), 0);
+    const IrtWorkspace::SortKey* keys = ws.keys.data();
+    std::sort(ws.order.begin(), ws.order.end(),
+              [keys](std::size_t a, std::size_t b) {
+                const IrtWorkspace::SortKey& ka = keys[a];
+                const IrtWorkspace::SortKey& kb = keys[b];
+                if (ka.beneficiary != kb.beneficiary) return kb.beneficiary;
+                if (ka.value != kb.value) return ka.value < kb.value;
+                return a < b;
+              });
 
     // ---- boundary search (line 15). ----
     const BoundarySearch search(capacity[k], entities, lambda, order, k,
-                                search_scratch);
+                                ws);
     std::size_t v = u;
     if (options_.cap_gain_at_contribution) {
       // Budget caps break the monotonicity proof, so the strategy-proof
@@ -287,9 +304,9 @@ AllocationResult IrtAllocator::allocate_traced(
         // unmet need and the remaining trade budget.  Unplaceable surplus
         // idles (spreading it would reopen the free-gain loophole).
         const std::size_t rest = m - v;
-        const std::span<double> caps(cap_scratch.data(), rest);
-        const std::span<double> weights(weight_scratch.data(), rest);
-        const std::span<double> extras(extra_scratch.data(), rest);
+        const std::span<double> caps(ws.caps.data(), rest);
+        const std::span<double> weights(ws.weights.data(), rest);
+        const std::span<double> extras(ws.extras.data(), rest);
         for (std::size_t t = 0; t < rest; ++t) {
           const std::size_t i = order[v + t];
           const double need = std::max(
@@ -297,7 +314,7 @@ AllocationResult IrtAllocator::allocate_traced(
           caps[t] = std::min(need, budget[i]);
           weights[t] = lambda[i];
         }
-        weighted_max_min_into(psi, caps, weights, extras, wmm_order);
+        weighted_max_min_into(psi, caps, weights, extras, ws.wmm_order);
         for (std::size_t t = 0; t < rest; ++t) {
           const std::size_t i = order[v + t];
           result.allocations[i][k] = entities[i].initial_share[k] + extras[t];
@@ -340,19 +357,19 @@ AllocationResult IrtAllocator::allocate_traced(
         // fallback water-fills it by share, capped at each entity's
         // remaining need (keeping the fallback Pareto-efficient).
         const std::size_t rest = m - v;
-        const std::span<double> extras(extra_scratch.data(), rest);
+        const std::span<double> extras(ws.extras.data(), rest);
         std::fill(extras.begin(), extras.end(), 0.0);
         if (options_.fallback ==
             IrtOptions::SurplusFallback::kProportionalToShare) {
-          const std::span<double> needs(cap_scratch.data(), rest);
-          const std::span<double> weights(weight_scratch.data(), rest);
+          const std::span<double> needs(ws.caps.data(), rest);
+          const std::span<double> weights(ws.weights.data(), rest);
           for (std::size_t t = 0; t < rest; ++t) {
             const std::size_t i = order[v + t];
             needs[t] = std::max(
                 0.0, entities[i].demand[k] - entities[i].initial_share[k]);
             weights[t] = entities[i].initial_share[k];
           }
-          weighted_max_min_into(psi, needs, weights, extras, wmm_order);
+          weighted_max_min_into(psi, needs, weights, extras, ws.wmm_order);
         }
         for (std::size_t t = 0; t < rest; ++t) {
           const std::size_t i = order[v + t];
@@ -409,7 +426,7 @@ AllocationResult IrtAllocator::allocate_traced(
     }
 
     if (traces) {
-      (*traces)[k].order = order;
+      (*traces)[k].order = ws.order;
       (*traces)[k].contributor_count = u;
       (*traces)[k].capped_count = v;
       (*traces)[k].redistributed = std::max(0.0, psi);
@@ -443,11 +460,11 @@ AllocationResult IrtAllocator::allocate_traced(
       }
     }
   }
-  // rrf-hot-path: end(irt.types)
+  // rrf-hot-path: end(irt.allocate)
 
   if (obs::ProvenanceRound* sink = obs::provenance_sink()) {
     sink->has_irt = true;
-    sink->irt_lambda = lambda;
+    sink->irt_lambda = result.contribution_lambda;
     sink->irt_share.clear();
     sink->irt_demand.clear();
     sink->irt_share.reserve(m);
@@ -479,7 +496,6 @@ AllocationResult IrtAllocator::allocate_traced(
     check_allocation_contracts("irt", capacity, entities, result,
                                {.demand_capped = true});
   }
-  return result;
 }
 
 }  // namespace rrf::alloc

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "alloc/allocator.hpp"
@@ -62,6 +63,32 @@ struct IrtTypeTrace {
   double redistributed{0.0};         ///< Psi_k handed to the suffix
 };
 
+/// Caller-owned scratch for IrtAllocator::allocate_into.  Every buffer is
+/// resized in place, so reusing one workspace for calls of at most the
+/// same entity count performs no heap allocation.  Contents are
+/// meaningless between calls.
+struct IrtWorkspace {
+  /// One entity's precomputed position in the per-type order: contributors
+  /// (beneficiary == false) by ascending U = D/S, then beneficiaries by
+  /// ascending V = (D - S) / Lambda.
+  struct SortKey {
+    bool beneficiary{false};
+    double value{0.0};
+  };
+  std::vector<SortKey> keys;  ///< indexed by entity
+  std::vector<std::size_t> order;
+  std::vector<double> prefix_demand;
+  std::vector<double> suffix_share;
+  std::vector<double> suffix_lambda;
+  /// Suffix water-fill inputs/outputs and weighted_max_min_into ordering.
+  std::vector<double> caps;
+  std::vector<double> weights;
+  std::vector<double> extras;
+  std::vector<std::size_t> wmm_order;
+  /// Remaining trade budget per entity (cap_gain_at_contribution only).
+  std::vector<double> budget;
+};
+
 class IrtAllocator final : public Allocator {
  public:
   explicit IrtAllocator(IrtOptions options = {}) : options_(options) {}
@@ -76,6 +103,15 @@ class IrtAllocator final : public Allocator {
   AllocationResult allocate_traced(const ResourceVector& capacity,
                                    std::span<const AllocationEntity> entities,
                                    std::vector<IrtTypeTrace>* traces) const;
+
+  /// The one IRT implementation, which allocate() and allocate_traced()
+  /// wrap: writes the result into `out` (resized in place) and draws all
+  /// scratch from `workspace`, so a steady-state call on a warmed `out`
+  /// and workspace allocates nothing.  `traces` may be null.
+  void allocate_into(const ResourceVector& capacity,
+                     std::span<const AllocationEntity> entities,
+                     AllocationResult& out, IrtWorkspace& workspace,
+                     std::vector<IrtTypeTrace>* traces = nullptr) const;
 
   /// Lambda(i): total contribution of each entity across all types,
   /// C_k(i) = max(0, S_k(i) - D_k(i)).

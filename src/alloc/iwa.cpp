@@ -125,16 +125,15 @@ IwaResult iwa_distribute(double tenant_total,
   return result;
 }
 
-IwaVectorResult iwa_distribute(const ResourceVector& tenant_total,
-                               std::span<const AllocationEntity> vms) {
+void iwa_distribute_into(const ResourceVector& tenant_total,
+                         std::span<const AllocationEntity> vms,
+                         std::span<ResourceVector> out,
+                         ResourceVector& headroom, IwaWorkspace& ws) {
   obs::ProfileScope profile("iwa.distribute");
   RRF_REQUIRE(!vms.empty(), "tenant with no VMs");
+  RRF_REQUIRE(out.size() == vms.size(), "output span length mismatch");
   const std::size_t p = tenant_total.size();
   const std::size_t n = vms.size();
-
-  IwaVectorResult out;
-  out.allocations.assign(n, ResourceVector(p));
-  out.headroom = ResourceVector(p);
 
   if (obs::metrics_enabled()) {
     static obs::Counter& invocations =
@@ -142,27 +141,30 @@ IwaVectorResult iwa_distribute(const ResourceVector& tenant_total,
     invocations.add();
   }
 
-  std::vector<double> shares(n), demands(n), grants(n);
   // rrf-hot-path: begin(iwa.types)
+  headroom = ResourceVector(p);
+  ws.shares.resize(n);
+  ws.demands.resize(n);
+  ws.grants.resize(n);
   for (std::size_t k = 0; k < p; ++k) {
     for (std::size_t j = 0; j < n; ++j) {
       RRF_REQUIRE(vms[j].initial_share.size() == p &&
-                      vms[j].demand.size() == p,
+                      vms[j].demand.size() == p && out[j].size() == p,
                   "VM vector arity mismatch");
-      shares[j] = vms[j].initial_share[k];
-      demands[j] = vms[j].demand[k];
+      ws.shares[j] = vms[j].initial_share[k];
+      ws.demands[j] = vms[j].demand[k];
     }
-    out.headroom[k] =
-        iwa_distribute_into(tenant_total[k], shares, demands, grants);
+    headroom[k] =
+        iwa_distribute_into(tenant_total[k], ws.shares, ws.demands, ws.grants);
     for (std::size_t j = 0; j < n; ++j) {
-      out.allocations[j][k] = grants[j];
+      out[j][k] = ws.grants[j];
     }
 
     if (obs::tracing_enabled() || obs::metrics_enabled()) {
       // One weight-adjustment event per VM whose grant moved away from its
       // initial share (positive: gained from siblings, negative: ceded).
       for (std::size_t j = 0; j < n; ++j) {
-        const double delta = grants[j] - shares[j];
+        const double delta = ws.grants[j] - ws.shares[j];
         if (std::abs(delta) <= 1e-9) continue;
         if (obs::metrics_enabled()) {
           static obs::Counter& adjustments =
@@ -178,7 +180,7 @@ IwaVectorResult iwa_distribute(const ResourceVector& tenant_total,
           e.vm = static_cast<std::int32_t>(j);
           e.resource = static_cast<std::int8_t>(k);
           e.value = delta;
-          e.value2 = grants[j];
+          e.value2 = ws.grants[j];
           obs::tracer().record(e);
         }
       }
@@ -190,10 +192,19 @@ IwaVectorResult iwa_distribute(const ResourceVector& tenant_total,
     // One entry per call; the caller (hierarchical RRF) invokes this in
     // group order, so entry order identifies the tenant.
     obs::ProvenanceIwa captured;
-    captured.vm_grant = out.allocations;
-    captured.headroom = out.headroom;
+    captured.vm_grant.assign(out.begin(), out.end());
+    captured.headroom = headroom;
     sink->iwa.push_back(std::move(captured));
   }
+}
+
+IwaVectorResult iwa_distribute(const ResourceVector& tenant_total,
+                               std::span<const AllocationEntity> vms) {
+  IwaVectorResult out;
+  out.allocations.assign(vms.size(), ResourceVector(tenant_total.size()));
+  IwaWorkspace workspace;
+  iwa_distribute_into(tenant_total, vms, out.allocations, out.headroom,
+                      workspace);
   return out;
 }
 

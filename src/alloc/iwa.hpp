@@ -42,9 +42,25 @@ double iwa_distribute_into(double tenant_total,
                            std::span<const double> demands,
                            std::span<double> out);
 
+/// Caller-owned per-type gather buffers for the vector IWA; resized in
+/// place, so a warmed workspace makes the vector IWA heap-free.
+struct IwaWorkspace {
+  std::vector<double> shares;
+  std::vector<double> demands;
+  std::vector<double> grants;
+};
+
 /// Vector version: runs iwa_distribute per resource type.
 /// `tenant_total[k]` is the tenant-level grant of type k; the VM entities'
-/// initial_share/demand fields supply s(j) and d(j).
+/// initial_share/demand fields supply s(j) and d(j).  Writes VM j's grant
+/// into `out[j]` (out.size() == vms.size()) and the per-type headroom into
+/// `headroom`.  This is the one vector implementation; the overload below
+/// wraps it.
+void iwa_distribute_into(const ResourceVector& tenant_total,
+                         std::span<const AllocationEntity> vms,
+                         std::span<ResourceVector> out,
+                         ResourceVector& headroom, IwaWorkspace& workspace);
+
 struct IwaVectorResult {
   std::vector<ResourceVector> allocations;  // per VM
   ResourceVector headroom;                  // per type

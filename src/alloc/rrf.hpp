@@ -29,8 +29,27 @@ struct TenantGroup {
   /// AllocationEntity::banked_contribution.
   double banked_contribution{0.0};
 
+  /// S(i): the sum of the VMs' initial shares, in VM order.
+  ResourceVector share_total() const;
+
   /// Tenant-level aggregates (S(i) / D(i) in Algorithm 1).
   AllocationEntity aggregate() const;
+};
+
+/// Caller-owned scratch for RrfAllocator::allocate_hierarchical_into.
+/// Every buffer is resized in place, so a workspace reused for calls of at
+/// most the same tenant and VM counts performs no heap allocation.  After
+/// a call it holds that call's tenant-level results.
+struct RrfWorkspace {
+  /// IRT inputs: S(i) from the caller's cached totals, D(i) summed over
+  /// the VMs.  Names stay empty (IRT never reads them).
+  std::vector<AllocationEntity> aggregates;
+  /// Tenant-level entitlements and Lambda(i) (output of IRT).
+  AllocationResult tenant_level;
+  /// Per-tenant headroom IWA could not place in any VM.
+  std::vector<ResourceVector> tenant_headroom;
+  IrtWorkspace irt;
+  IwaWorkspace iwa;
 };
 
 struct HierarchicalResult {
@@ -52,6 +71,18 @@ class RrfAllocator final : public Allocator {
   HierarchicalResult allocate_hierarchical(
       const ResourceVector& capacity,
       std::span<const TenantGroup> tenants) const;
+
+  /// The one hierarchical implementation, which allocate_hierarchical()
+  /// wraps.  `tenant_shares[g]` must equal tenants[g].share_total() (the
+  /// engine caches it per node).  VM grants land in `vm_out` in group
+  /// order: tenant g's VMs fill [offset_g, offset_g + tenants[g].vms.size())
+  /// with offset_g the VM count of the groups before g.  Tenant-level
+  /// results stay in `workspace` until its next use.
+  void allocate_hierarchical_into(const ResourceVector& capacity,
+                                  std::span<const TenantGroup> tenants,
+                                  std::span<const ResourceVector> tenant_shares,
+                                  std::span<ResourceVector> vm_out,
+                                  RrfWorkspace& workspace) const;
 
   /// Flat adapter: every entity is treated as a single-VM tenant.
   AllocationResult allocate(

@@ -302,7 +302,11 @@ class Parser {
       if (digits() == 0) fail("bad number exponent");
     }
     const std::string token(text_.substr(start, pos_ - start));
-    return std::strtod(token.c_str(), nullptr);
+    // The grammar above admits no "inf" spelling, so an infinite result
+    // means strtod overflowed (underflow to 0 or a subnormal is kept).
+    const double value = std::strtod(token.c_str(), nullptr);
+    if (std::isinf(value)) fail("number out of range");
+    return value;
   }
 
   std::string_view text_;

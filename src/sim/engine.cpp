@@ -112,10 +112,14 @@ struct NodeState {
   std::vector<std::size_t> tenant_ids;
   /// Hierarchical grouping: per tenant, its VMs in slot order.
   std::vector<alloc::TenantGroup> groups;
-  /// Per-group sum of initial shares (IWA-only's static entitlement).
+  /// Per-group sum of initial shares: IRT's tenant share S(i) and
+  /// IWA-only's static entitlement.
   std::vector<ResourceVector> group_totals;
   /// slot index -> (group index, VM index within the group).
   std::vector<std::pair<std::size_t, std::size_t>> slot_group;
+  /// slot index -> its VM's position in the group-order grant span the
+  /// hierarchical policies fill (ShardScratch::vm_grants).
+  std::vector<std::size_t> slot_grant;
 
   // ---- per-round scratch ----
   std::vector<ResourceVector> demand_shares;  // forecast, in shares
@@ -140,6 +144,16 @@ struct NodeState {
   double& phase_accum(obs::Phase phase) {
     return phase_seconds[static_cast<std::size_t>(phase)];
   }
+};
+
+/// Allocation scratch for the nodes of one shard.  A shard runs its nodes
+/// one after another on one thread, so one workspace per shard suffices
+/// (the serial engine holds exactly one); it grows to the shard's largest
+/// node and is reused by every later round without heap allocation.
+struct ShardScratch {
+  alloc::RrfWorkspace rrf;
+  /// VM grants of the hierarchical policies, in group order.
+  std::vector<ResourceVector> vm_grants;
 };
 
 /// Rebuilds the allocation scaffolding after slot membership changed.
@@ -187,12 +201,18 @@ void refresh_alloc_cache(NodeState& node, const ResourceVector& host_capacity,
     node.slot_group[i] = {g, node.groups[g].vms.size()};
     node.groups[g].vms.push_back(std::move(e));
   }
-  node.group_totals.assign(node.groups.size(),
-                           ResourceVector(kDefaultResourceCount));
-  for (std::size_t g = 0; g < node.groups.size(); ++g) {
-    for (const auto& vm : node.groups[g].vms) {
-      node.group_totals[g] += vm.initial_share;
-    }
+  node.group_totals.clear();
+  std::vector<std::size_t> group_offset;
+  std::size_t offset = 0;
+  for (const alloc::TenantGroup& group : node.groups) {
+    node.group_totals.push_back(group.share_total());
+    group_offset.push_back(offset);
+    offset += group.vms.size();
+  }
+  node.slot_grant.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [g, vi] = node.slot_group[i];
+    node.slot_grant[i] = group_offset[g] + vi;
   }
 
   node.demand_shares.assign(n, ResourceVector(kDefaultResourceCount));
@@ -212,13 +232,15 @@ void refresh_alloc_cache(NodeState& node, const ResourceVector& host_capacity,
 
 /// Computes share entitlements for one node and one window into
 /// node.entitlement_shares, using the cached scaffolding (the per-entity
-/// demands are refreshed from node.demand_shares in place).
+/// demands are refreshed from node.demand_shares in place) and the
+/// calling shard's `scratch`.
 /// `tenant_banked` (indexed by tenant id) carries the rrf-lt contribution
 /// bank; empty for every other policy.  When `tenant_lambda` is non-null
 /// (indexed by global tenant id) the IRT policies add each tenant's
 /// declared contribution Lambda(i) on this node into it, for the fairness
 /// auditor's reciprocity accounting.
 void allocate_entitlements(PolicyKind policy, NodeState& node,
+                           ShardScratch& scratch,
                            std::span<const double> tenant_banked,
                            std::vector<double>* tenant_lambda = nullptr) {
   const std::size_t n = node.slots.size();
@@ -246,13 +268,10 @@ void allocate_entitlements(PolicyKind policy, NodeState& node,
     }
   };
 
-  // Map grouped VM allocations back to slot order.
-  auto ungroup = [&](const std::vector<std::vector<ResourceVector>>& alloc) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto [g, vi] = node.slot_group[i];
-      node.entitlement_shares[i] = alloc[g][vi];
-    }
-  };
+  if (scratch.vm_grants.size() < n) {
+    scratch.vm_grants.resize(n, ResourceVector(kDefaultResourceCount));
+  }
+  const std::span<ResourceVector> grants(scratch.vm_grants.data(), n);
 
   switch (policy) {
     case PolicyKind::kTshirt: {
@@ -280,19 +299,21 @@ void allocate_entitlements(PolicyKind policy, NodeState& node,
               .allocate(node.pool, node.flat_entities)
               .allocations;
       return;
+    // rrf-hot-path: begin(engine.hierarchical)
     case PolicyKind::kIwaOnly: {
       // Tenant entitlement is static (its own shares); IWA moves shares
       // between the tenant's VMs only.
       refresh_groups();
-      std::vector<std::vector<ResourceVector>> per_group;
-      per_group.reserve(node.groups.size());
+      ResourceVector headroom(kDefaultResourceCount);
+      std::size_t offset = 0;
       for (std::size_t g = 0; g < node.groups.size(); ++g) {
-        per_group.push_back(
-            alloc::iwa_distribute(node.group_totals[g], node.groups[g].vms)
-                .allocations);
+        const std::size_t size = node.groups[g].vms.size();
+        alloc::iwa_distribute_into(node.group_totals[g], node.groups[g].vms,
+                                   grants.subspan(offset, size), headroom,
+                                   scratch.rrf.iwa);
+        offset += size;
       }
-      ungroup(per_group);
-      return;
+      break;
     }
     case PolicyKind::kRrf:
     case PolicyKind::kRrfSp:
@@ -301,24 +322,28 @@ void allocate_entitlements(PolicyKind policy, NodeState& node,
       options.cap_gain_at_contribution = policy == PolicyKind::kRrfSp;
       const alloc::RrfAllocator rrf{options};
       refresh_groups();
-      const alloc::HierarchicalResult hr =
-          rrf.allocate_hierarchical(node.pool, node.groups);
+      rrf.allocate_hierarchical_into(node.pool, node.groups,
+                                     node.group_totals, grants, scratch.rrf);
       if (tenant_lambda != nullptr) {
         // tenant_ids is ascending — the same order the groups (and hence
         // IRT's entity indices) were built in.
+        const std::vector<double>& lambda =
+            scratch.rrf.tenant_level.contribution_lambda;
         for (std::size_t g = 0; g < node.tenant_ids.size(); ++g) {
           if (node.tenant_ids[g] < tenant_lambda->size() &&
-              g < hr.tenant_level.contribution_lambda.size()) {
-            (*tenant_lambda)[node.tenant_ids[g]] +=
-                hr.tenant_level.contribution_lambda[g];
+              g < lambda.size()) {
+            (*tenant_lambda)[node.tenant_ids[g]] += lambda[g];
           }
         }
       }
-      ungroup(hr.vm_allocations);
-      return;
+      break;
     }
   }
-  throw DomainError("unhandled policy");
+  // Map the group-order VM grants back to slot order.
+  for (std::size_t i = 0; i < n; ++i) {
+    node.entitlement_shares[i] = grants[node.slot_grant[i]];
+  }
+  // rrf-hot-path: end(engine.hierarchical)
 }
 
 /// Assembles this node's flight-recorder entry for the window just
@@ -478,6 +503,8 @@ SimResult run_simulation(const Scenario& scenario,
         std::make_unique<ShardExecutor>(ShardPlan::build(host_count,
                                                          shard_count));
   }
+  std::vector<ShardScratch> shard_scratch(
+      shard_executor ? shard_executor->plan().shard_count() : 1);
 
   std::vector<double> tenant_share_sum(tenant_count, 0.0);
   for (std::size_t t = 0; t < tenant_count; ++t) {
@@ -732,7 +759,10 @@ SimResult run_simulation(const Scenario& scenario,
       {
         std::optional<obs::ProvenanceScope> prov_scope;
         if (flight_on) prov_scope.emplace(&node_prov[h]);
-        allocate_entitlements(config.policy, node, lt_balance,
+        ShardScratch& scratch =
+            shard_executor ? shard_scratch[shard_executor->plan().shard_of(h)]
+                           : shard_scratch.front();
+        allocate_entitlements(config.policy, node, scratch, lt_balance,
                               &node.node_lambda);
       }
       if (config.policy != PolicyKind::kTshirt) {

@@ -52,12 +52,27 @@ std::unique_ptr<ReplayWorkload> ReplayWorkload::from_csv(
     std::string cell;
     std::vector<double> values;
     while (std::getline(ss, cell, ',')) {
+      double value = 0.0;
+      std::size_t used = 0;
       try {
-        values.push_back(std::stod(cell));
+        value = std::stod(cell, &used);
       } catch (const std::exception&) {
+        used = 0;
+      }
+      // stod skips leading whitespace; allow trailing whitespace (a CRLF
+      // file's '\r') but nothing else after the number.
+      const bool trailing_junk =
+          used == 0 || cell.find_first_not_of(" \t\r", used) !=
+                           std::string::npos;
+      if (trailing_junk) {
         throw DomainError("replay CSV line " + std::to_string(line_no) +
                           ": not a number: " + cell);
       }
+      if (!std::isfinite(value)) {
+        throw DomainError("replay CSV line " + std::to_string(line_no) +
+                          ": not a finite number: " + cell);
+      }
+      values.push_back(value);
     }
     if (values.size() < 3) {
       throw DomainError("replay CSV line " + std::to_string(line_no) +

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -105,6 +106,22 @@ TEST(Json, RejectsMalformedInput) {
         "[1] garbage", "{\"a\":1,\"a\":2}", "\"\x01\""}) {
     EXPECT_THROW(json::Value::parse(bad), DomainError) << bad;
   }
+}
+
+TEST(Json, RejectsNumbersOutOfDoubleRange) {
+  for (const char* huge : {"{\"x\": 1e999}", "-1e400", "[1, 2e308]"}) {
+    try {
+      json::Value::parse(huge);
+      ADD_FAILURE() << huge << " parsed";
+    } catch (const DomainError& e) {
+      EXPECT_NE(std::string(e.what()).find("number out of range"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Underflow is not an error: the nearest double (zero) is kept.
+  EXPECT_EQ(json::Value::parse("1e-999").as_number(), 0.0);
+  EXPECT_EQ(json::Value::parse("1e308").as_number(), 1e308);
 }
 
 TEST(Json, TypedAccessorsCheckTypes) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "workload/traces.hpp"
@@ -64,6 +65,24 @@ TEST(Replay, RejectsMalformedCsv) {
     std::stringstream short_row("t,cpu,ram\n0,1\n");
     EXPECT_THROW(ReplayWorkload::from_csv("x", short_row), DomainError);
   }
+}
+
+TEST(Replay, RejectsNonFiniteAndTrailingJunkCells) {
+  for (const char* row : {"0,inf,1", "0,1,nan", "inf,1,1", "0,1e999,1",
+                          "0,2.5junk,1", "0,1,2 3"}) {
+    std::stringstream csv(std::string("t,cpu,ram\n0,1,1\n") + row + "\n");
+    try {
+      ReplayWorkload::from_csv("x", csv);
+      ADD_FAILURE() << row << " was accepted";
+    } catch (const DomainError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Surrounding whitespace (including a CRLF file's '\r') is not junk.
+  std::stringstream crlf("t,cpu,ram\r\n0, 1.5 ,2\r\n");
+  const auto w = ReplayWorkload::from_csv("x", crlf);
+  EXPECT_TRUE(w->demand_at(0.0).approx_equal(ResourceVector{1.5, 2.0}, 0.0));
 }
 
 TEST(Replay, RejectsBadConstruction) {
