@@ -1,11 +1,10 @@
 #include "alloc/entity_io.hpp"
 
-#include <charconv>
-#include <cmath>
 #include <ostream>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 
 namespace rrf::alloc {
@@ -20,21 +19,13 @@ std::vector<std::string> split_csv_line(const std::string& line) {
   return cells;
 }
 
-/// Shortest decimal form that parses back to exactly `v` (1.5 -> "1.5",
-/// 300 -> "300"), so the table never rounds away the number it reports.
-/// The longest such form of any double is 24 characters.
-std::string exact(double v) {
-  char buf[32];
-  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
-}
-
 }  // namespace
 
 std::string format_exact(const ResourceVector& v) {
   std::string out = "<";
   for (std::size_t k = 0; k < v.size(); ++k) {
     if (k != 0) out += ", ";
-    out += exact(v[k]);
+    out += json::format_number(v[k]);
   }
   return out + ">";
 }
@@ -66,18 +57,9 @@ std::vector<AllocationEntity> read_entities_csv(std::istream& in) {
     entity.name = cells[0];
     entity.initial_share = ResourceVector(p);
     entity.demand = ResourceVector(p);
+    const std::string where = "entity CSV line " + std::to_string(line_no);
     for (std::size_t k = 0; k < 2 * p; ++k) {
-      double value = 0.0;
-      try {
-        value = std::stod(cells[k + 1]);
-      } catch (const std::exception&) {
-        throw DomainError("entity CSV line " + std::to_string(line_no) +
-                          ": not a number: " + cells[k + 1]);
-      }
-      if (!std::isfinite(value)) {
-        throw DomainError("entity CSV line " + std::to_string(line_no) +
-                          ": not a finite number: " + cells[k + 1]);
-      }
+      const double value = parse_csv_number(cells[k + 1], where);
       if (k < p) {
         entity.initial_share[k] = value;
       } else {
@@ -96,15 +78,18 @@ void write_entities_csv(std::span<const AllocationEntity> entities,
                         std::ostream& out) {
   RRF_REQUIRE(!entities.empty(), "no entities to write");
   const std::size_t p = entities.front().initial_share.size();
-  out.precision(17);
   out << "name";
   for (std::size_t k = 0; k < p; ++k) out << ",share_" << k;
   for (std::size_t k = 0; k < p; ++k) out << ",demand_" << k;
   out << '\n';
   for (const auto& entity : entities) {
     out << entity.name;
-    for (std::size_t k = 0; k < p; ++k) out << ',' << entity.initial_share[k];
-    for (std::size_t k = 0; k < p; ++k) out << ',' << entity.demand[k];
+    for (std::size_t k = 0; k < p; ++k) {
+      out << ',' << json::format_number(entity.initial_share[k]);
+    }
+    for (std::size_t k = 0; k < p; ++k) {
+      out << ',' << json::format_number(entity.demand[k]);
+    }
     out << '\n';
   }
 }
@@ -121,8 +106,8 @@ std::string format_result(std::span<const AllocationEntity> entities,
                format_exact(entities[i].initial_share),
                format_exact(entities[i].demand),
                format_exact(result.allocations[i]),
-               exact((result.allocations[i] - entities[i].initial_share)
-                         .sum())});
+               json::format_number(
+                   (result.allocations[i] - entities[i].initial_share).sum())});
   }
   table.row({"(idle)", "", "", format_exact(result.unallocated), ""});
   return table.to_string();

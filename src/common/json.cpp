@@ -1,7 +1,7 @@
 #include "common/json.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -16,38 +16,54 @@ void indent_to(std::string& out, int indent, int depth) {
              ' ');
 }
 
+/// Largest magnitude below which every integer is an exact double (2^53).
+constexpr double kMaxExactInteger = 9007199254740992.0;
+
 void append_number(std::string& out, double d) {
   if (!std::isfinite(d)) {
     out += "null";
     return;
   }
+  // 64 bytes hold the longest shortest form of any double (24 chars) and
+  // any integer below 2^53.
+  char buf[64];
+  char* end = nullptr;
   // Integral values within the exactly-representable range print as plain
-  // integers: %g would render e.g. 30.0 as "3e+01" at low precision and
-  // 1e15 as "1e+15", neither of which reads (or diffs) like the integer
-  // counters and window counts these usually are.
-  // (-0.0 keeps the %g path so the sign survives the round-trip.)
-  if (d == std::floor(d) && std::fabs(d) <= 9007199254740992.0 &&
+  // integers: shortest form would render 1e15 as "1e+15", which neither
+  // reads nor diffs like the integer counters and window counts these
+  // usually are.  (-0.0 keeps the shortest path so the sign survives.)
+  if (d == std::floor(d) && std::fabs(d) <= kMaxExactInteger &&
       !(d == 0.0 && std::signbit(d))) {  // determinism-lint: allow(float-eq)
-    char ibuf[32];
-    std::snprintf(ibuf, sizeof(ibuf), "%lld",
-                  static_cast<long long>(d));
-    out += ibuf;
-    return;
+    end = std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(d)).ptr;
+  } else {
+    end = std::to_chars(buf, buf + sizeof(buf), d).ptr;
   }
-  // Round-trip decimal form for a double in at most three probes: 15
-  // significant digits suffice for most values, 17 for every double.  (A
-  // 1..17 probe loop finds marginally shorter strings but costs ~6x more
-  // snprintf/strtod calls, which dominates flight-recorder serialization.)
-  char buf[32];
-  for (const int precision : {15, 16}) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
-    if (std::strtod(buf, nullptr) == d) {
-      out += buf;
-      return;
+  out.append(buf, end);
+}
+
+void append_escaped(std::string& out, std::string_view s) {
+  out.push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          static constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out.push_back(kHex[(c >> 4) & 0xF]);
+          out.push_back(kHex[c & 0xF]);
+        } else {
+          out.push_back(c);
+        }
     }
   }
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  out += buf;
+  out.push_back('"');
 }
 
 void dump_value(const Value& v, std::string& out, int indent, int depth);
@@ -76,7 +92,7 @@ void dump_object(const Object& o, std::string& out, int indent, int depth) {
   for (std::size_t i = 0; i < o.size(); ++i) {
     if (i > 0) out.push_back(',');
     if (indent > 0) indent_to(out, indent, depth + 1);
-    out += escape(o[i].first);
+    append_escaped(out, o[i].first);
     out.push_back(':');
     if (indent > 0) out.push_back(' ');
     dump_value(o[i].second, out, indent, depth + 1);
@@ -93,7 +109,7 @@ void dump_value(const Value& v, std::string& out, int indent, int depth) {
   } else if (v.is_number()) {
     append_number(out, v.as_number());
   } else if (v.is_string()) {
-    out += escape(v.as_string());
+    append_escaped(out, v.as_string());
   } else if (v.is_array()) {
     dump_array(v.as_array(), out, indent, depth);
   } else {
@@ -359,32 +375,138 @@ Value Value::parse(std::string_view text) {
   return Parser(text).parse_document();
 }
 
-std::string escape(std::string_view s) {
+std::string format_number(double d) {
   std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
+  append_number(out, d);
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// Reader
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// What a failed check names: an object member ("field 'key'") or an
+/// array element (the caller's description).  Built only on failure.
+struct Name {
+  std::string_view text;
+  bool field;
+};
+
+[[noreturn]] void wrong_type(const Reader& r, Name name,
+                             std::string_view type) {
+  std::string what = name.field ? "field '" + std::string(name.text) + "'"
+                                : std::string(name.text);
+  r.fail(what + " is not " + std::string(type));
+}
+
+double to_number(const Reader& r, const Value& v, Name name) {
+  if (!v.is_number()) wrong_type(r, name, "a number");
+  return v.as_number();
+}
+
+std::int64_t to_int64(const Reader& r, const Value& v, Name name) {
+  const double d = to_number(r, v, name);
+  if (d != std::floor(d) || std::fabs(d) > kMaxExactInteger) {
+    wrong_type(r, name, "an integer");
+  }
+  return static_cast<std::int64_t>(d);
+}
+
+std::size_t to_size(const Reader& r, const Value& v, Name name) {
+  const double d = to_number(r, v, name);
+  if (d < 0.0 || d != std::floor(d) || d > kMaxExactInteger) {
+    wrong_type(r, name, "a non-negative integer");
+  }
+  return static_cast<std::size_t>(d);
+}
+
+const std::string& to_string(const Reader& r, const Value& v, Name name) {
+  if (!v.is_string()) wrong_type(r, name, "a string");
+  return v.as_string();
+}
+
+}  // namespace
+
+Reader::Reader(const Value& value, std::string_view prefix,
+               std::string_view what)
+    : value_(value), prefix_(prefix) {
+  if (!value.is_object()) fail(std::string(what) + " is not an object");
+}
+
+void Reader::fail(std::string_view message) const {
+  throw DomainError(std::string(prefix_) + ": " + std::string(message));
+}
+
+const Value& Reader::at(std::string_view key) const {
+  const Value* v = value_.find(key);
+  if (v == nullptr) fail("missing field '" + std::string(key) + "'");
+  return *v;
+}
+
+double Reader::number(std::string_view key) const {
+  return to_number(*this, at(key), {key, true});
+}
+
+std::int64_t Reader::int64(std::string_view key) const {
+  return to_int64(*this, at(key), {key, true});
+}
+
+std::size_t Reader::size(std::string_view key) const {
+  return to_size(*this, at(key), {key, true});
+}
+
+const std::string& Reader::string(std::string_view key) const {
+  return to_string(*this, at(key), {key, true});
+}
+
+bool Reader::boolean(std::string_view key) const {
+  const Value& v = at(key);
+  if (!v.is_bool()) wrong_type(*this, {key, true}, "a bool");
+  return v.as_bool();
+}
+
+const Array& Reader::array(std::string_view key) const {
+  const Value& v = at(key);
+  if (!v.is_array()) wrong_type(*this, {key, true}, "an array");
+  return v.as_array();
+}
+
+Reader Reader::object(std::string_view key) const {
+  const Value& v = at(key);
+  if (!v.is_object()) wrong_type(*this, {key, true}, "an object");
+  return Reader(v, prefix_);
+}
+
+double Reader::number_or(std::string_view key, double fallback) const {
+  const Value* v = value_.find(key);
+  return v == nullptr ? fallback : to_number(*this, *v, {key, true});
+}
+
+std::int64_t Reader::int64_or(std::string_view key,
+                              std::int64_t fallback) const {
+  const Value* v = value_.find(key);
+  return v == nullptr ? fallback : to_int64(*this, *v, {key, true});
+}
+
+std::size_t Reader::size_or(std::string_view key,
+                            std::size_t fallback) const {
+  const Value* v = value_.find(key);
+  return v == nullptr ? fallback : to_size(*this, *v, {key, true});
+}
+
+double Reader::number(const Value& element, std::string_view what) const {
+  return to_number(*this, element, {what, false});
+}
+
+std::size_t Reader::size(const Value& element, std::string_view what) const {
+  return to_size(*this, element, {what, false});
+}
+
+const std::string& Reader::string(const Value& element,
+                                  std::string_view what) const {
+  return to_string(*this, element, {what, false});
 }
 
 }  // namespace rrf::json

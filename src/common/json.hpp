@@ -1,12 +1,18 @@
-// Minimal JSON document model: an ordered-object value tree with a
-// writer (dump) and a strict recursive-descent parser.
+// The JSON codec every obs record is written and read through: an
+// ordered-object value tree, one writer (dump), a strict
+// recursive-descent parser and checked member readers for decoding.
 //
-// Used by the macro-benchmark harness to emit BENCH_rrf.json and by the
-// tests / CI tooling to schema-check it.  Object keys keep insertion
-// order so emitted reports diff cleanly across runs.
+// Flight recordings, telemetry journals, ops-plane round summaries,
+// event traces, profiles and metrics snapshots all serialize through
+// Value::dump, so every machine-readable double is spelled by one
+// formatter (format_number), and the recording/journal loaders reject
+// malformed records through one Reader.  The macro-benchmark harness
+// emits BENCH_rrf.json through it as well.  Object keys keep insertion
+// order so emitted documents diff cleanly across runs.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -65,7 +71,54 @@ class Value {
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> v_;
 };
 
-/// Convenience: quote + escape a string literal as JSON.
-std::string escape(std::string_view s);
+/// The codec's spelling of a number: integral values up to 2^53 as plain
+/// integers ("30", "1000000000000000"), every other finite double in
+/// std::to_chars shortest round-trip form ("0.1", "5.684341886080802e-14",
+/// "1e+16"), and non-finite values as "null".
+std::string format_number(double d);
+
+/// Checked member access for decoding a record.  Every error is a
+/// DomainError that starts with the caller's prefix and names the key or
+/// element, e.g. "flightrec: field 'vcpus' is not a non-negative integer".
+class Reader {
+ public:
+  /// Throws "<prefix>: <what> is not an object" unless `value` is one.
+  /// `value` and `prefix` must outlive the reader.
+  Reader(const Value& value, std::string_view prefix,
+         std::string_view what = "record");
+
+  const Value& value() const { return value_; }
+  bool has(std::string_view key) const { return value_.find(key) != nullptr; }
+  /// Required member of any type.
+  const Value& at(std::string_view key) const;
+
+  /// Required members of one type.  int64 takes an integral number within
+  /// +-2^53; size a non-negative one.
+  double number(std::string_view key) const;
+  std::int64_t int64(std::string_view key) const;
+  std::size_t size(std::string_view key) const;
+  const std::string& string(std::string_view key) const;
+  bool boolean(std::string_view key) const;
+  const Array& array(std::string_view key) const;
+  Reader object(std::string_view key) const;
+
+  /// Optional members: `fallback` when the key is absent.  A member that
+  /// is present but of the wrong type still throws.
+  double number_or(std::string_view key, double fallback) const;
+  std::int64_t int64_or(std::string_view key, std::int64_t fallback) const;
+  std::size_t size_or(std::string_view key, std::size_t fallback) const;
+
+  /// The same checks on an array element; `what` names it in the error.
+  double number(const Value& element, std::string_view what) const;
+  std::size_t size(const Value& element, std::string_view what) const;
+  const std::string& string(const Value& element, std::string_view what) const;
+
+  /// Throws DomainError("<prefix>: <message>").
+  [[noreturn]] void fail(std::string_view message) const;
+
+ private:
+  const Value& value_;
+  std::string_view prefix_;
+};
 
 }  // namespace rrf::json

@@ -1,6 +1,7 @@
 #include "common/table.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -90,6 +91,26 @@ void write_csv(const std::string& path,
     f << '\n';
   }
   if (!f) throw DomainError("write failure on CSV file: " + path);
+}
+
+double parse_csv_number(const std::string& cell, const std::string& where) {
+  double value = 0.0;
+  std::size_t used = 0;
+  try {
+    value = std::stod(cell, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  // stod skips leading whitespace; allow trailing whitespace (a CRLF
+  // file's '\r') but nothing else after the number.
+  if (used == 0 ||
+      cell.find_first_not_of(" \t\r", used) != std::string::npos) {
+    throw DomainError(where + ": not a number: " + cell);
+  }
+  if (!std::isfinite(value)) {
+    throw DomainError(where + ": not a finite number: " + cell);
+  }
+  return value;
 }
 
 }  // namespace rrf

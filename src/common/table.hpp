@@ -1,4 +1,5 @@
-// Plain-text table and CSV rendering for benchmark/report output.
+// Plain-text table and CSV rendering for benchmark/report output, and
+// the one checked parser for numeric CSV cells.
 //
 // Every bench binary reproduces one table or figure of the paper; TextTable
 // prints the rows in an aligned, human-diffable layout, and write_csv emits
@@ -39,5 +40,10 @@ class TextTable {
 /// failure.  Cells containing commas/quotes are quoted.
 void write_csv(const std::string& path,
                const std::vector<std::vector<std::string>>& rows);
+
+/// Parses one CSV cell as a finite double.  Surrounding whitespace (a CRLF
+/// file's '\r' included) is allowed; an empty cell, trailing junk ("50x"),
+/// inf and nan throw DomainError("<where>: not a [finite] number: <cell>").
+double parse_csv_number(const std::string& cell, const std::string& where);
 
 }  // namespace rrf

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
@@ -92,10 +93,12 @@ void maybe_type_line(std::ostream& os, std::string& last_base,
   last_base = base;
 }
 
-std::string format_le(double bound) {
-  std::ostringstream ss;
-  ss << bound;
-  return ss.str();
+/// Sample values and le/quantile labels: the JSON codec's number form,
+/// with non-finite values spelled as the exposition format requires.
+std::string format_sample(double v) {
+  if (std::isnan(v)) return "NaN";
+  if (std::isinf(v)) return v > 0.0 ? "+Inf" : "-Inf";
+  return json::format_number(v);
 }
 
 // ---------------------------------------------------------------------------
@@ -309,7 +312,7 @@ void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot) {
     maybe_type_line(os, last_base, pn.base, "gauge");
     os << pn.base;
     write_labels(os, pn.labels);
-    os << ' ' << value << '\n';
+    os << ' ' << format_sample(value) << '\n';
   }
   last_base.clear();
   for (const auto& [name, h] : snapshot.histograms) {
@@ -320,12 +323,12 @@ void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot) {
       cumulative += h.buckets[i];
       os << pn.base << "_bucket";
       write_labels(os, pn.labels, "le",
-                   i < h.bounds.size() ? format_le(h.bounds[i]) : "+Inf");
+                   i < h.bounds.size() ? format_sample(h.bounds[i]) : "+Inf");
       os << ' ' << cumulative << '\n';
     }
     os << pn.base << "_sum";
     write_labels(os, pn.labels);
-    os << ' ' << h.sum << '\n';
+    os << ' ' << format_sample(h.sum) << '\n';
     os << pn.base << "_count";
     write_labels(os, pn.labels);
     os << ' ' << h.count << '\n';
@@ -339,12 +342,12 @@ void write_prometheus(std::ostream& os, const MetricsSnapshot& snapshot) {
     maybe_type_line(os, last_base, base, "summary");
     for (const double q : {0.5, 0.95, 0.99}) {
       os << base;
-      write_labels(os, pn.labels, "quantile", format_le(q));
-      os << ' ' << h.quantile(q) << '\n';
+      write_labels(os, pn.labels, "quantile", format_sample(q));
+      os << ' ' << format_sample(h.quantile(q)) << '\n';
     }
     os << base << "_sum";
     write_labels(os, pn.labels);
-    os << ' ' << h.sum << '\n';
+    os << ' ' << format_sample(h.sum) << '\n';
     os << base << "_count";
     write_labels(os, pn.labels);
     os << ' ' << h.count << '\n';

@@ -18,47 +18,10 @@ namespace rrf::obs {
 
 namespace {
 
+constexpr std::string_view kPrefix = "flightrec";
+
 [[noreturn]] void fail(const std::string& message) {
-  throw DomainError("flightrec: " + message);
-}
-
-const json::Value& field(const json::Value& object, const char* key) {
-  const json::Value* v = object.find(key);
-  if (v == nullptr) fail(std::string("missing field '") + key + "'");
-  return *v;
-}
-
-double num_field(const json::Value& object, const char* key) {
-  const json::Value& v = field(object, key);
-  if (!v.is_number()) fail(std::string("field '") + key + "' is not a number");
-  return v.as_number();
-}
-
-double num_or(const json::Value& object, const char* key, double fallback) {
-  const json::Value* v = object.find(key);
-  if (v == nullptr) return fallback;
-  if (!v->is_number()) fail(std::string("field '") + key + "' is not a number");
-  return v->as_number();
-}
-
-std::size_t size_field(const json::Value& object, const char* key) {
-  const double d = num_field(object, key);
-  if (d < 0.0 || d != std::floor(d)) {
-    fail(std::string("field '") + key + "' is not a non-negative integer");
-  }
-  return static_cast<std::size_t>(d);
-}
-
-std::string str_field(const json::Value& object, const char* key) {
-  const json::Value& v = field(object, key);
-  if (!v.is_string()) fail(std::string("field '") + key + "' is not a string");
-  return v.as_string();
-}
-
-const json::Array& array_field(const json::Value& object, const char* key) {
-  const json::Value& v = field(object, key);
-  if (!v.is_array()) fail(std::string("field '") + key + "' is not an array");
-  return v.as_array();
+  throw DomainError(std::string(kPrefix) + ": " + message);
 }
 
 json::Value vec_to_json(const ResourceVector& v) {
@@ -68,21 +31,27 @@ json::Value vec_to_json(const ResourceVector& v) {
   return out;
 }
 
-ResourceVector vec_from_json(const json::Value& value, const char* what) {
-  if (!value.is_array() || value.as_array().empty()) {
-    fail(std::string(what) + " is not a non-empty array");
-  }
-  std::vector<double> values;
-  values.reserve(value.as_array().size());
+std::vector<double> doubles_from_json(const json::Reader& r,
+                                      const json::Value& value,
+                                      std::string_view what) {
+  if (!value.is_array()) r.fail(std::string(what) + " is not an array");
+  std::vector<double> out;
+  out.reserve(value.as_array().size());
   for (const json::Value& e : value.as_array()) {
-    if (!e.is_number()) fail(std::string(what) + " holds a non-number");
-    values.push_back(e.as_number());
+    out.push_back(r.number(e, what));
   }
+  return out;
+}
+
+ResourceVector vec_from_json(const json::Reader& r, const json::Value& value,
+                             std::string_view what) {
+  const std::vector<double> values = doubles_from_json(r, value, what);
+  if (values.empty()) r.fail(std::string(what) + " is an empty array");
   return ResourceVector(std::span<const double>(values));
 }
 
-ResourceVector vec_field(const json::Value& object, const char* key) {
-  return vec_from_json(field(object, key), key);
+ResourceVector vec_field(const json::Reader& r, std::string_view key) {
+  return vec_from_json(r, r.at(key), key);
 }
 
 json::Value doubles_to_json(const std::vector<double>& values) {
@@ -90,24 +59,6 @@ json::Value doubles_to_json(const std::vector<double>& values) {
   out.reserve(values.size());
   for (const double v : values) out.emplace_back(v);
   return out;
-}
-
-std::vector<double> doubles_from_json(const json::Value& value,
-                                      const char* what) {
-  if (!value.is_array()) fail(std::string(what) + " is not an array");
-  std::vector<double> out;
-  out.reserve(value.as_array().size());
-  for (const json::Value& e : value.as_array()) {
-    if (!e.is_number()) fail(std::string(what) + " holds a non-number");
-    out.push_back(e.as_number());
-  }
-  return out;
-}
-
-std::string shortest(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 }  // namespace
@@ -161,63 +112,58 @@ json::Value flight_header_to_json(const FlightHeader& header) {
 }
 
 FlightHeader flight_header_from_json(const json::Value& value) {
-  if (!value.is_object()) fail("header is not an object");
-  if (str_field(value, "schema") != kFlightSchemaName) {
+  const json::Reader r(value, kPrefix, "header");
+  if (r.string("schema") != kFlightSchemaName) {
     fail("not a " + std::string(kFlightSchemaName) + " recording");
   }
   FlightHeader header;
-  const double version = num_field(value, "version");
+  const double version = r.number("version");
   if (version != static_cast<double>(kFlightSchemaVersion)) {
-    fail("unsupported schema version " + shortest(version) + " (this build reads " +
-         std::to_string(kFlightSchemaVersion) + ")");
+    fail("unsupported schema version " + json::format_number(version) +
+         " (this build reads " + std::to_string(kFlightSchemaVersion) + ")");
   }
   header.version = kFlightSchemaVersion;
-  header.kind = str_field(value, "kind");
+  header.kind = r.string("kind");
   if (header.kind != "sim" && header.kind != "alloc") {
     fail("unknown recording kind '" + header.kind + "'");
   }
-  header.policy = str_field(value, "policy");
-  header.window = num_field(value, "window");
-  header.duration = num_field(value, "duration");
-  header.pricing = vec_field(value, "pricing");
-  for (const json::Value& h : array_field(value, "hosts")) {
-    header.hosts.push_back(vec_from_json(h, "host capacity"));
+  header.policy = r.string("policy");
+  header.window = r.number("window");
+  header.duration = r.number("duration");
+  header.pricing = vec_field(r, "pricing");
+  for (const json::Value& h : r.array("hosts")) {
+    header.hosts.push_back(vec_from_json(r, h, "host capacity"));
   }
   if (header.hosts.empty()) fail("recording has no hosts");
-  for (const json::Value& t : array_field(value, "tenants")) {
-    if (!t.is_object()) fail("tenant entry is not an object");
+  for (const json::Value& t : r.array("tenants")) {
+    const json::Reader tr(t, kPrefix, "tenant entry");
     FlightTenant tenant;
-    tenant.name = str_field(t, "name");
-    tenant.metric = str_field(t, "metric");
-    for (const json::Value& vm : array_field(t, "vms")) {
-      if (!vm.is_object()) fail("vm entry is not an object");
+    tenant.name = tr.string("name");
+    tenant.metric = tr.string("metric");
+    for (const json::Value& vm : tr.array("vms")) {
+      const json::Reader vr(vm, kPrefix, "vm entry");
       FlightVm out;
-      out.name = str_field(vm, "name");
-      out.vcpus = size_field(vm, "vcpus");
-      out.provisioned = vec_field(vm, "provisioned");
-      out.max_mem_gb = num_field(vm, "max_mem_gb");
-      out.host = size_field(vm, "host");
+      out.name = vr.string("name");
+      out.vcpus = vr.size("vcpus");
+      out.provisioned = vec_field(vr, "provisioned");
+      out.max_mem_gb = vr.number("max_mem_gb");
+      out.host = vr.size("host");
       if (out.host >= header.hosts.size()) fail("vm placed on unknown host");
       tenant.vms.push_back(std::move(out));
     }
     header.tenants.push_back(std::move(tenant));
   }
   if (header.tenants.empty()) fail("recording has no tenants");
-  for (const json::Value& u : array_field(value, "unplaced")) {
-    if (!u.is_array() || u.as_array().size() != 2 ||
-        !u.as_array()[0].is_number() || !u.as_array()[1].is_number()) {
+  for (const json::Value& u : r.array("unplaced")) {
+    if (!u.is_array() || u.as_array().size() != 2) {
       fail("unplaced entry is not a [tenant, vm] pair");
     }
-    header.unplaced.emplace_back(
-        static_cast<std::size_t>(u.as_array()[0].as_number()),
-        static_cast<std::size_t>(u.as_array()[1].as_number()));
+    header.unplaced.emplace_back(r.size(u.as_array()[0], "unplaced tenant"),
+                                 r.size(u.as_array()[1], "unplaced vm"));
   }
-  header.engine = field(value, "engine");
+  header.engine = r.at("engine");
   // Additive: recordings written before the build stamp existed lack it.
-  if (const json::Value* build = value.find("build")) {
-    if (!build->is_object()) fail("field 'build' is not an object");
-    header.build = *build;
-  }
+  if (r.has("build")) header.build = r.object("build").value();
   return header;
 }
 
@@ -317,75 +263,79 @@ json::Value flight_round_to_json(const FlightRound& round) {
 }
 
 FlightRound flight_round_from_json(const json::Value& value) {
-  if (!value.is_object()) fail("round is not an object");
+  const json::Reader r(value, kPrefix, "round");
   FlightRound round;
-  round.round = size_field(value, "round");
-  round.time = num_field(value, "time");
-  if (const json::Value* m = value.find("migrations")) {
-    if (!m->is_array()) fail("migrations is not an array");
-    for (const json::Value& e : m->as_array()) {
+  round.round = r.size("round");
+  round.time = r.number("time");
+  if (r.has("migrations")) {
+    for (const json::Value& e : r.array("migrations")) {
+      const json::Reader mr(e, kPrefix, "migration entry");
       FlightMigration out;
-      out.tenant = size_field(e, "tenant");
-      out.vm = size_field(e, "vm");
-      out.from = size_field(e, "from");
-      out.to = size_field(e, "to");
-      out.cost_gb = num_field(e, "cost_gb");
+      out.tenant = mr.size("tenant");
+      out.vm = mr.size("vm");
+      out.from = mr.size("from");
+      out.to = mr.size("to");
+      out.cost_gb = mr.number("cost_gb");
       round.migrations.push_back(out);
     }
   }
-  if (const json::Value* p = value.find("pressure_before")) {
-    round.pressure_before = doubles_from_json(*p, "pressure_before");
+  if (r.has("pressure_before")) {
+    round.pressure_before =
+        doubles_from_json(r, r.at("pressure_before"), "pressure_before");
     round.pressure_after =
-        doubles_from_json(field(value, "pressure_after"), "pressure_after");
+        doubles_from_json(r, r.at("pressure_after"), "pressure_after");
   }
-  for (const json::Value& n : array_field(value, "nodes")) {
-    if (!n.is_object()) fail("node entry is not an object");
+  for (const json::Value& n : r.array("nodes")) {
+    const json::Reader nr(n, kPrefix, "node entry");
     FlightNode node;
-    node.node = size_field(n, "node");
-    for (const json::Value& s : array_field(n, "slots")) {
-      if (!s.is_object()) fail("slot entry is not an object");
+    node.node = nr.size("node");
+    for (const json::Value& s : nr.array("slots")) {
+      const json::Reader sr(s, kPrefix, "slot entry");
       FlightSlot slot;
-      slot.tenant = size_field(s, "t");
-      slot.vm = size_field(s, "v");
-      slot.share = vec_field(s, "share");
-      slot.demand = vec_field(s, "demand");
-      slot.forecast = vec_field(s, "forecast");
-      slot.entitlement = vec_field(s, "grant");
-      slot.credit_weight = num_or(s, "credit_weight", -1.0);
-      slot.credit_cap = num_or(s, "credit_cap", -1.0);
-      slot.mem_target = num_or(s, "mem_target", -1.0);
-      slot.weight = num_or(s, "weight", 0.0);
-      slot.banked = num_or(s, "banked", 0.0);
+      slot.tenant = sr.size("t");
+      slot.vm = sr.size("v");
+      slot.share = vec_field(sr, "share");
+      slot.demand = vec_field(sr, "demand");
+      slot.forecast = vec_field(sr, "forecast");
+      slot.entitlement = vec_field(sr, "grant");
+      slot.credit_weight = sr.number_or("credit_weight", -1.0);
+      slot.credit_cap = sr.number_or("credit_cap", -1.0);
+      slot.mem_target = sr.number_or("mem_target", -1.0);
+      slot.weight = sr.number_or("weight", 0.0);
+      slot.banked = sr.number_or("banked", 0.0);
       node.slots.push_back(std::move(slot));
     }
-    if (const json::Value* irt = n.find("irt")) {
+    if (nr.has("irt")) {
+      const json::Reader irt = nr.object("irt");
       node.has_irt = true;
-      for (const json::Value& t : array_field(*irt, "tenants")) {
+      for (const json::Value& t : irt.array("tenants")) {
+        const json::Reader tr(t, kPrefix, "IRT tenant entry");
         FlightIrtTenant out;
-        out.tenant = size_field(t, "t");
-        out.lambda = num_field(t, "lambda");
-        out.share = vec_field(t, "share");
-        out.demand = vec_field(t, "demand");
-        out.grant = vec_field(t, "grant");
+        out.tenant = tr.size("t");
+        out.lambda = tr.number("lambda");
+        out.share = vec_field(tr, "share");
+        out.demand = vec_field(tr, "demand");
+        out.grant = vec_field(tr, "grant");
         node.irt.push_back(std::move(out));
       }
-      for (const json::Value& k : array_field(*irt, "types")) {
+      for (const json::Value& k : irt.array("types")) {
+        const json::Reader kr(k, kPrefix, "IRT type entry");
         ProvenanceIrtType out;
-        out.contributors = size_field(k, "contributors");
-        out.capped = size_field(k, "capped");
-        out.redistributed = num_field(k, "redistributed");
+        out.contributors = kr.size("contributors");
+        out.capped = kr.size("capped");
+        out.redistributed = kr.number("redistributed");
         node.irt_types.push_back(out);
       }
     }
-    if (const json::Value* iwa = n.find("iwa")) {
-      if (!iwa->is_array()) fail("iwa is not an array");
-      for (const json::Value& w : iwa->as_array()) {
+    if (nr.has("iwa")) {
+      for (const json::Value& w : nr.array("iwa")) {
+        const json::Reader wr(w, kPrefix, "IWA entry");
         FlightIwa out;
-        out.tenant = size_field(w, "t");
-        for (const json::Value& g : array_field(w, "grant")) {
-          out.vm_grant.push_back(vec_from_json(g, "iwa grant"));
+        out.tenant = wr.size("t");
+        for (const json::Value& g : wr.array("grant")) {
+          out.vm_grant.push_back(vec_from_json(wr, g, "iwa grant"));
         }
-        out.headroom = vec_field(w, "headroom");
+        out.headroom = vec_field(wr, "headroom");
         node.iwa.push_back(std::move(out));
       }
     }
@@ -420,11 +370,12 @@ FlightRecording FlightRecording::load(std::istream& in) {
     if (recording.trailer.has_value()) {
       fail("line " + std::to_string(line_no) + ": data after the trailer");
     }
-    if (const json::Value* t = value.find("trailer")) {
+    if (value.find("trailer") != nullptr) {
+      const json::Reader t = json::Reader(value, kPrefix).object("trailer");
       FlightTrailer trailer;
-      trailer.rounds = size_field(*t, "rounds");
-      trailer.dropped = size_field(*t, "dropped");
-      trailer.bytes = size_field(*t, "bytes");
+      trailer.rounds = t.size("rounds");
+      trailer.dropped = t.size("dropped");
+      trailer.bytes = t.size("bytes");
       recording.trailer = trailer;
       continue;
     }
@@ -580,8 +531,8 @@ struct DiffWalk {
   bool check(std::size_t round, const std::string& where, const char* field_n,
              double a, double b) {
     if (near(a, b, epsilon)) return true;
-    diverge(round, where + " " + field_n + ": " + shortest(a) + " vs " +
-                       shortest(b));
+    diverge(round, where + " " + field_n + ": " + json::format_number(a) +
+                       " vs " + json::format_number(b));
     return false;
   }
 
@@ -598,7 +549,8 @@ struct DiffWalk {
     for (std::size_t k = 0; k < a.size(); ++k) {
       if (near(a[k], b[k], epsilon)) continue;
       diverge(round, where + " " + field_n + "[" + std::to_string(k) +
-                         "]: " + shortest(a[k]) + " vs " + shortest(b[k]));
+                         "]: " + json::format_number(a[k]) + " vs " +
+                         json::format_number(b[k]));
       ok = false;
     }
     return ok;
@@ -620,8 +572,8 @@ FlightDiffResult diff_recordings(const FlightRecording& a,
               b.header.policy);
   }
   if (a.header.window != b.header.window) {
-    walk.note("window mismatch: " + shortest(a.header.window) + " vs " +
-              shortest(b.header.window));
+    walk.note("window mismatch: " + json::format_number(a.header.window) +
+              " vs " + json::format_number(b.header.window));
   }
   if (a.rounds.size() != b.rounds.size()) {
     walk.note("round count mismatch: " + std::to_string(a.rounds.size()) +

@@ -1,6 +1,5 @@
 #include "obs/journal.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <iterator>
 #include <utility>
@@ -12,48 +11,18 @@ namespace rrf::obs {
 
 namespace {
 
+constexpr std::string_view kPrefix = "journal";
+
 [[noreturn]] void fail(const std::string& message) {
-  throw DomainError("journal: " + message);
+  throw DomainError(std::string(kPrefix) + ": " + message);
 }
 
-const json::Value& field(const json::Value& object, const char* key) {
-  const json::Value* v = object.find(key);
-  if (v == nullptr) fail(std::string("missing field '") + key + "'");
-  return *v;
-}
-
-double num_field(const json::Value& object, const char* key) {
-  const json::Value& v = field(object, key);
-  if (!v.is_number()) fail(std::string("field '") + key + "' is not a number");
-  return v.as_number();
-}
-
-std::size_t size_field(const json::Value& object, const char* key) {
-  const double d = num_field(object, key);
-  if (d < 0.0 || d != std::floor(d)) {
-    fail(std::string("field '") + key + "' is not a non-negative integer");
-  }
-  return static_cast<std::size_t>(d);
-}
-
-std::int32_t int_field(const json::Value& object, const char* key) {
-  const double d = num_field(object, key);
-  if (d != std::floor(d)) {
-    fail(std::string("field '") + key + "' is not an integer");
-  }
-  return static_cast<std::int32_t>(d);
-}
-
-std::string str_field(const json::Value& object, const char* key) {
-  const json::Value& v = field(object, key);
-  if (!v.is_string()) fail(std::string("field '") + key + "' is not a string");
-  return v.as_string();
-}
-
-bool bool_field(const json::Value& object, const char* key) {
-  const json::Value& v = field(object, key);
-  if (!v.is_bool()) fail(std::string("field '") + key + "' is not a bool");
-  return v.as_bool();
+std::vector<std::string> strings_from_json(const json::Reader& r,
+                                           std::string_view key,
+                                           std::string_view what) {
+  std::vector<std::string> out;
+  for (const json::Value& v : r.array(key)) out.push_back(r.string(v, what));
+  return out;
 }
 
 std::string rotated_path(const std::string& path) { return path + ".1"; }
@@ -81,33 +50,25 @@ json::Value journal_header_to_json(const JournalHeader& header) {
 }
 
 JournalHeader journal_header_from_json(const json::Value& value) {
-  if (!value.is_object()) fail("header is not an object");
-  if (str_field(value, "schema") != kJournalSchemaName) {
-    fail("not a telemetry journal (schema tag '" + str_field(value, "schema") +
-         "')");
+  const json::Reader r(value, kPrefix, "header");
+  if (r.string("schema") != kJournalSchemaName) {
+    fail("not a telemetry journal (schema tag '" + r.string("schema") + "')");
   }
   JournalHeader header;
-  header.version = int_field(value, "version");
-  if (header.version != kJournalSchemaVersion) {
-    fail("unsupported version " + std::to_string(header.version) +
+  const std::int64_t version = r.int64("version");
+  if (version != kJournalSchemaVersion) {
+    fail("unsupported version " + std::to_string(version) +
          " (this build reads version " +
          std::to_string(kJournalSchemaVersion) + ")");
   }
-  header.kind = str_field(value, "kind");
-  header.policy = str_field(value, "policy");
-  const json::Value& tenants = field(value, "tenants");
-  if (!tenants.is_array()) fail("field 'tenants' is not an array");
-  for (const json::Value& t : tenants.as_array()) {
-    if (!t.is_string()) fail("tenant name is not a string");
-    header.tenants.push_back(t.as_string());
-  }
-  header.segment = size_field(value, "segment");
-  header.continued = bool_field(value, "continued");
+  header.version = kJournalSchemaVersion;
+  header.kind = r.string("kind");
+  header.policy = r.string("policy");
+  header.tenants = strings_from_json(r, "tenants", "tenant name");
+  header.segment = r.size("segment");
+  header.continued = r.boolean("continued");
   // Additive: journals written before the build stamp existed lack it.
-  if (const json::Value* build = value.find("build")) {
-    if (!build->is_object()) fail("field 'build' is not an object");
-    header.build = *build;
-  }
+  if (r.has("build")) header.build = r.object("build").value();
   return header;
 }
 
@@ -127,26 +88,19 @@ json::Value journal_incident_to_json(const JournalIncident& incident) {
 }
 
 JournalIncident journal_incident_from_json(const json::Value& value) {
-  if (!value.is_object()) fail("incident record is not an object");
-  if (str_field(value, "t") != "incident") {
-    fail("record tag is not 'incident'");
-  }
+  const json::Reader r(value, kPrefix, "incident record");
+  if (r.string("t") != "incident") fail("record tag is not 'incident'");
   JournalIncident incident;
-  const std::string state = str_field(value, "state");
+  const std::string& state = r.string("state");
   if (state != "opened" && state != "resolved") {
     fail("incident state '" + state + "' is neither 'opened' nor 'resolved'");
   }
   incident.opened = state == "opened";
-  incident.id = str_field(value, "id");
-  incident.window = size_field(value, "window");
-  incident.severity = str_field(value, "severity");
-  const json::Value& kinds = field(value, "kinds");
-  if (!kinds.is_array()) fail("field 'kinds' is not an array");
-  for (const json::Value& k : kinds.as_array()) {
-    if (!k.is_string()) fail("incident kind is not a string");
-    incident.kinds.push_back(k.as_string());
-  }
-  incident.dir = str_field(value, "dir");
+  incident.id = r.string("id");
+  incident.window = r.size("window");
+  incident.severity = r.string("severity");
+  incident.kinds = strings_from_json(r, "kinds", "incident kind");
+  incident.dir = r.string("dir");
   return incident;
 }
 
@@ -196,16 +150,16 @@ Segment load_segment(const std::string& path) {
       if (seg.end.has_value()) {
         fail("record after the end record");
       }
-      if (!value.is_object()) fail("record is not an object");
-      const std::string tag = str_field(value, "t");
+      const json::Reader r(value, kPrefix);
+      const std::string& tag = r.string("t");
       if (tag == "round") {
         seg.rounds.push_back(round_summary_from_json(value));
       } else if (tag == "incident") {
         seg.incidents.push_back(journal_incident_from_json(value));
       } else if (tag == "end") {
         JournalEnd end;
-        end.rounds = size_field(value, "rounds");
-        end.incidents = size_field(value, "incidents");
+        end.rounds = r.size("rounds");
+        end.incidents = r.size("incidents");
         seg.end = end;
       } else {
         fail("unknown record tag '" + tag + "'");

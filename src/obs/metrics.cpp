@@ -4,8 +4,10 @@
 #include <array>
 #include <mutex>
 #include <ostream>
+#include <utility>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace rrf::obs {
 
@@ -23,15 +25,6 @@ void atomic_max(std::atomic<double>& target, double v) {
   while (v > cur &&
          !target.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
-}
-
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
 }
 
 }  // namespace
@@ -214,46 +207,29 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 
 void MetricsRegistry::write_json(std::ostream& os) const {
   SharedMutexReadLock lock(mu_);
-  os << "{\n  \"counters\": {";
-  bool first = true;
+  json::Object counters;
   for (const auto& [name, c] : counters_) {
-    os << (first ? "\n    " : ",\n    ");
-    write_json_string(os, name);
-    os << ": " << c->value();
-    first = false;
+    counters.emplace_back(name, c->value());
   }
-  os << "\n  },\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    os << (first ? "\n    " : ",\n    ");
-    write_json_string(os, name);
-    os << ": " << g->value();
-    first = false;
-  }
-  os << "\n  },\n  \"histograms\": {";
-  first = true;
+  json::Object gauges;
+  for (const auto& [name, g] : gauges_) gauges.emplace_back(name, g->value());
+  json::Object histograms;
   for (const auto& [name, h] : histograms_) {
-    os << (first ? "\n    " : ",\n    ");
-    write_json_string(os, name);
-    os << ": {\"count\": " << h->count() << ", \"sum\": " << h->sum()
-       << ", \"min\": " << h->min() << ", \"max\": " << h->max()
-       << ", \"mean\": " << h->mean()
-       << ", \"p50\": " << h->quantile(0.5)
-       << ", \"p95\": " << h->quantile(0.95)
-       << ", \"p99\": " << h->quantile(0.99) << ", \"bounds\": [";
-    const auto& bounds = h->bounds();
-    for (std::size_t i = 0; i < bounds.size(); ++i) {
-      os << (i ? ", " : "") << bounds[i];
-    }
-    os << "], \"buckets\": [";
-    const auto counts = h->bucket_counts();
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      os << (i ? ", " : "") << counts[i];
-    }
-    os << "]}";
-    first = false;
+    const std::vector<std::uint64_t> counts = h->bucket_counts();
+    histograms.emplace_back(
+        name,
+        json::Object{
+            {"count", h->count()}, {"sum", h->sum()}, {"min", h->min()},
+            {"max", h->max()}, {"mean", h->mean()},
+            {"p50", h->quantile(0.5)}, {"p95", h->quantile(0.95)},
+            {"p99", h->quantile(0.99)},
+            {"bounds", json::Array(h->bounds().begin(), h->bounds().end())},
+            {"buckets", json::Array(counts.begin(), counts.end())}});
   }
-  os << "\n  }\n}\n";
+  os << json::Value(json::Object{{"counters", std::move(counters)},
+                                 {"gauges", std::move(gauges)},
+                                 {"histograms", std::move(histograms)}})
+            .dump(2);
 }
 
 void MetricsRegistry::write_csv(std::ostream& os) const {
@@ -263,17 +239,20 @@ void MetricsRegistry::write_csv(std::ostream& os) const {
     os << "counter," << name << ",value," << c->value() << "\n";
   }
   for (const auto& [name, g] : gauges_) {
-    os << "gauge," << name << ",value," << g->value() << "\n";
+    os << "gauge," << name << ",value," << json::format_number(g->value())
+       << "\n";
   }
   for (const auto& [name, h] : histograms_) {
     os << "histogram," << name << ",count," << h->count() << "\n";
-    os << "histogram," << name << ",sum," << h->sum() << "\n";
-    os << "histogram," << name << ",mean," << h->mean() << "\n";
-    os << "histogram," << name << ",min," << h->min() << "\n";
-    os << "histogram," << name << ",max," << h->max() << "\n";
-    os << "histogram," << name << ",p50," << h->quantile(0.5) << "\n";
-    os << "histogram," << name << ",p95," << h->quantile(0.95) << "\n";
-    os << "histogram," << name << ",p99," << h->quantile(0.99) << "\n";
+    const std::pair<const char*, double> fields[] = {
+        {"sum", h->sum()},           {"mean", h->mean()},
+        {"min", h->min()},           {"max", h->max()},
+        {"p50", h->quantile(0.5)},   {"p95", h->quantile(0.95)},
+        {"p99", h->quantile(0.99)}};
+    for (const auto& [field, value] : fields) {
+      os << "histogram," << name << ',' << field << ','
+         << json::format_number(value) << "\n";
+    }
   }
 }
 

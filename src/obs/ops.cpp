@@ -1,46 +1,9 @@
 #include "obs/ops.hpp"
 
-#include <cmath>
 #include <limits>
 #include <utility>
 
-#include "common/error.hpp"
-
 namespace rrf::obs {
-
-namespace {
-
-[[noreturn]] void fail(const std::string& message) {
-  throw DomainError("ops: " + message);
-}
-
-const json::Value& field(const json::Value& object, const char* key) {
-  const json::Value* v = object.find(key);
-  if (v == nullptr) fail(std::string("missing field '") + key + "'");
-  return *v;
-}
-
-double num_field(const json::Value& object, const char* key) {
-  const json::Value& v = field(object, key);
-  if (!v.is_number()) fail(std::string("field '") + key + "' is not a number");
-  return v.as_number();
-}
-
-std::size_t size_field(const json::Value& object, const char* key) {
-  const double d = num_field(object, key);
-  if (d < 0.0 || d != std::floor(d)) {
-    fail(std::string("field '") + key + "' is not a non-negative integer");
-  }
-  return static_cast<std::size_t>(d);
-}
-
-std::string str_field(const json::Value& object, const char* key) {
-  const json::Value& v = field(object, key);
-  if (!v.is_string()) fail(std::string("field '") + key + "' is not a string");
-  return v.as_string();
-}
-
-}  // namespace
 
 json::Value round_summary_to_json(const RoundSummary& summary) {
   json::Object out;
@@ -72,35 +35,31 @@ json::Value round_summary_to_json(const RoundSummary& summary) {
 }
 
 RoundSummary round_summary_from_json(const json::Value& value) {
-  if (!value.is_object()) fail("round record is not an object");
-  if (str_field(value, "t") != "round") fail("record tag is not 'round'");
+  const json::Reader r(value, "ops", "round record");
+  if (r.string("t") != "round") r.fail("record tag is not 'round'");
   RoundSummary out;
-  out.window = size_field(value, "window");
-  out.time = num_field(value, "time");
-  out.jain = num_field(value, "jain");
-  out.slots = size_field(value, "slots");
-  const json::Value& phases = field(value, "phase_seconds");
-  if (!phases.is_object()) fail("field 'phase_seconds' is not an object");
+  out.window = r.size("window");
+  out.time = r.number("time");
+  out.jain = r.number("jain");
+  out.slots = r.size("slots");
+  const json::Reader phases = r.object("phase_seconds");
   for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    out.phase_seconds[i] =
-        num_field(phases, to_string(static_cast<Phase>(i)));
+    out.phase_seconds[i] = phases.number(to_string(static_cast<Phase>(i)));
   }
-  const json::Value& tenants = field(value, "tenants");
-  if (!tenants.is_array()) fail("field 'tenants' is not an array");
-  out.tenants.reserve(tenants.as_array().size());
-  for (const json::Value& t : tenants.as_array()) {
-    if (!t.is_object()) fail("tenant entry is not an object");
+  const json::Array& tenants = r.array("tenants");
+  out.tenants.reserve(tenants.size());
+  for (const json::Value& t : tenants) {
+    const json::Reader tr(t, "ops", "tenant entry");
     TenantRoundStat stat;
-    stat.name = str_field(t, "name");
-    stat.share = num_field(t, "share");
-    stat.demand = num_field(t, "demand");
+    stat.name = tr.string("name");
+    stat.share = tr.number("share");
+    stat.demand = tr.number("demand");
     // Additive since the incident-detection schema rev: older journals
     // and fixtures carry no "granted"; the ledger position is the best
     // stand-in (they coincide whenever nothing is oversold).
-    stat.granted =
-        t.find("granted") != nullptr ? num_field(t, "granted") : stat.share;
-    stat.contributed = num_field(t, "contributed");
-    stat.gained = num_field(t, "gained");
+    stat.granted = tr.number_or("granted", stat.share);
+    stat.contributed = tr.number("contributed");
+    stat.gained = tr.number("gained");
     out.tenants.push_back(std::move(stat));
   }
   return out;

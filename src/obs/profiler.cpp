@@ -369,16 +369,6 @@ void flatten_merge(const std::vector<MergeNode>& pool,
   }
 }
 
-std::string json_escape_min(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 }  // namespace
 
 std::int32_t os_thread_id() {
@@ -543,18 +533,25 @@ void write_collapsed(std::ostream& os, const ProfileSnapshot& snapshot) {
   }
 }
 
+void write_chrome_events(std::ostream& os,
+                         const std::vector<json::Value>& events) {
+  os << "{\"traceEvents\":[\n";
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    os << (i == 0 ? "" : ",\n") << events[i].dump();
+  }
+  os << "\n]}\n";
+}
+
+json::Value chrome_thread_name(std::int32_t tid, const std::string& name) {
+  return json::Object{{"name", "thread_name"}, {"ph", "M"}, {"pid", 0},
+                      {"tid", tid}, {"args", json::Object{{"name", name}}}};
+}
+
 void write_chrome_profile(std::ostream& os,
                           const ProfileSnapshot& snapshot) {
-  os << "{\"traceEvents\":[\n";
-  bool first = true;
-  auto emit = [&](const std::string& line) {
-    os << (first ? "" : ",\n") << line;
-    first = false;
-  };
+  std::vector<json::Value> events;
   for (const ThreadProfile& thread : snapshot.threads) {
-    emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" +
-         std::to_string(thread.tid) + ",\"args\":{\"name\":\"" +
-         json_escape_min(thread.name) + "\"}}");
+    events.push_back(chrome_thread_name(thread.tid, thread.name));
     // Synthetic timeline: children laid out sequentially inside their
     // parent's interval, roots back to back (totals, not wall layout).
     std::vector<double> start_us(thread.nodes.size(), 0.0);
@@ -572,21 +569,16 @@ void write_chrome_profile(std::ostream& os,
         cursor_us[p] += total_us;
       }
       cursor_us[i] = start_us[i];
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"%s\",\"cat\":\"profile\",\"ph\":\"X\","
-                    "\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d,"
-                    "\"args\":{\"calls\":%llu,\"self_us\":%.3f,"
-                    "\"bytes\":%llu}}",
-                    json_escape_min(n.site).c_str(), start_us[i], total_us,
-                    thread.tid,
-                    static_cast<unsigned long long>(n.calls),
-                    n.self_seconds * 1e6,
-                    static_cast<unsigned long long>(n.bytes));
-      emit(buf);
+      events.push_back(json::Object{
+          {"name", n.site}, {"cat", "profile"}, {"ph", "X"},
+          {"ts", start_us[i]}, {"dur", total_us}, {"pid", 0},
+          {"tid", thread.tid},
+          {"args", json::Object{{"calls", n.calls},
+                                {"self_us", n.self_seconds * 1e6},
+                                {"bytes", n.bytes}}}});
     }
   }
-  os << "\n]}\n";
+  write_chrome_events(os, events);
 }
 
 void publish_profile_metrics(MetricsRegistry& registry_ref,

@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "obs/metrics.hpp"  // kCompiledIn, MetricsRegistry
 
 namespace rrf::obs {
@@ -154,6 +155,13 @@ void write_collapsed(std::ostream& os, const ProfileSnapshot& snapshot);
 /// Chrome trace JSON: per-thread metadata names plus nested duration
 /// slices on a synthetic timeline, tid = the real OS thread id.
 void write_chrome_profile(std::ostream& os, const ProfileSnapshot& snapshot);
+
+/// Writes a Chrome trace document, {"traceEvents":[...]}, one event per
+/// line (shared with EventTracer::write_chrome_trace).
+void write_chrome_events(std::ostream& os,
+                         const std::vector<json::Value>& events);
+/// The thread_name metadata event that labels `tid`'s track.
+json::Value chrome_thread_name(std::int32_t tid, const std::string& name);
 
 /// Publishes the snapshot as gauge families in `registry`
 /// (profile.self_seconds{site=...}, profile.mutex.*, profile.pool.*).

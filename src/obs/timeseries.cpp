@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace rrf::obs {
 
@@ -77,13 +78,15 @@ void TimeSeriesRecorder::write_csv(std::ostream& os) const {
 }
 
 void TimeSeriesRecorder::write_jsonl(std::ostream& os) const {
-  os << std::setprecision(6);
   for (const Row& row : rows_) {
-    os << "{\"window\":" << row.window << ",\"t_seconds\":" << row.time_s
-       << ",\"tenant\":\"" << names_[row.tenant]
-       << "\",\"demand_ratio\":" << row.demand_ratio
-       << ",\"alloc_ratio\":" << row.alloc_ratio
-       << ",\"perf_score\":" << row.perf_score << "}\n";
+    os << json::Value(json::Object{{"window", row.window},
+                                   {"t_seconds", row.time_s},
+                                   {"tenant", names_[row.tenant]},
+                                   {"demand_ratio", row.demand_ratio},
+                                   {"alloc_ratio", row.alloc_ratio},
+                                   {"perf_score", row.perf_score}})
+              .dump()
+       << '\n';
   }
 }
 

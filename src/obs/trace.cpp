@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -108,107 +107,85 @@ void EventTracer::clear() {
 
 namespace {
 
-void write_event_jsonl(std::ostream& os, const TraceEvent& e) {
-  os << "{\"kind\":\"" << to_string(e.kind) << "\",\"ts_us\":" << e.ts_us
-     << ",\"dur_us\":" << e.dur_us << ",\"tid\":" << e.tid
-     << ",\"node\":" << e.node
-     << ",\"tenant\":" << e.tenant << ",\"vm\":" << e.vm
-     << ",\"window\":" << e.window
-     << ",\"resource\":" << static_cast<int>(e.resource)
-     << ",\"phase\":" << static_cast<int>(e.phase)
-     << ",\"value\":" << e.value << ",\"value2\":" << e.value2 << "}\n";
+json::Value event_to_json(const TraceEvent& e) {
+  return json::Object{
+      {"kind", to_string(e.kind)}, {"ts_us", e.ts_us}, {"dur_us", e.dur_us},
+      {"tid", e.tid}, {"node", e.node}, {"tenant", e.tenant}, {"vm", e.vm},
+      {"window", e.window}, {"resource", static_cast<int>(e.resource)},
+      {"phase", static_cast<int>(e.phase)}, {"value", e.value},
+      {"value2", e.value2}};
 }
 
-/// Finds `"key":` in a JSONL line and returns the raw token after it.
-std::optional<std::string> raw_field(const std::string& line,
-                                     std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  std::size_t begin = at + needle.size();
-  std::size_t end = begin;
-  if (begin < line.size() && line[begin] == '"') {
-    end = line.find('"', begin + 1);
-    if (end == std::string::npos) return std::nullopt;
-    return line.substr(begin + 1, end - begin - 1);
+/// Chrome trace form: phases as duration slices, everything else as
+/// instants, on the recording thread's track.
+json::Value event_to_chrome(const TraceEvent& e) {
+  const int tid = e.tid >= 0 ? e.tid : 0;
+  if (e.kind == EventKind::kPhase) {
+    const char* name = e.phase >= 0 && e.phase < static_cast<int>(kPhaseCount)
+                           ? to_string(static_cast<Phase>(e.phase))
+                           : "phase";
+    return json::Object{
+        {"name", name}, {"cat", "phase"}, {"ph", "X"}, {"ts", e.ts_us},
+        {"dur", e.dur_us}, {"pid", 0}, {"tid", tid},
+        {"args", json::Object{{"node", e.node}, {"window", e.window}}}};
   }
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  return line.substr(begin, end - begin);
-}
-
-double num_field(const std::string& line, std::string_view key,
-                 double fallback = 0.0) {
-  const auto raw = raw_field(line, key);
-  return raw ? std::strtod(raw->c_str(), nullptr) : fallback;
+  return json::Object{
+      {"name", to_string(e.kind)}, {"cat", "event"}, {"ph", "i"}, {"s", "t"},
+      {"ts", e.ts_us}, {"pid", 0}, {"tid", tid},
+      {"args", json::Object{{"node", e.node}, {"tenant", e.tenant},
+                            {"vm", e.vm}, {"window", e.window},
+                            {"resource", static_cast<int>(e.resource)},
+                            {"value", e.value}, {"value2", e.value2}}}};
 }
 
 }  // namespace
 
 void EventTracer::write_jsonl(std::ostream& os) const {
-  for (const TraceEvent& e : events()) write_event_jsonl(os, e);
+  for (const TraceEvent& e : events()) os << event_to_json(e).dump() << '\n';
 }
 
 std::vector<TraceEvent> EventTracer::read_jsonl(std::istream& is) {
   std::vector<TraceEvent> out;
   std::string line;
   while (std::getline(is, line)) {
-    const auto kind_name = raw_field(line, "kind");
-    if (!kind_name) continue;
-    const auto kind = event_kind_from_string(*kind_name);
+    json::Value value;
+    try {
+      value = json::Value::parse(line);
+    } catch (const DomainError&) {
+      continue;
+    }
+    const json::Value* kind_name = value.find("kind");
+    if (kind_name == nullptr || !kind_name->is_string()) continue;
+    const auto kind = event_kind_from_string(kind_name->as_string());
     if (!kind) continue;
+    const json::Reader r(value, "trace");
     TraceEvent e;
     e.kind = *kind;
-    e.ts_us = num_field(line, "ts_us");
-    e.dur_us = num_field(line, "dur_us");
-    e.tid = static_cast<std::int32_t>(num_field(line, "tid", -1.0));
-    e.node = static_cast<std::int32_t>(num_field(line, "node", -1.0));
-    e.tenant = static_cast<std::int32_t>(num_field(line, "tenant", -1.0));
-    e.vm = static_cast<std::int32_t>(num_field(line, "vm", -1.0));
-    e.window = static_cast<std::int32_t>(num_field(line, "window", -1.0));
-    e.resource = static_cast<std::int8_t>(num_field(line, "resource", -1.0));
-    e.phase = static_cast<std::int8_t>(num_field(line, "phase", -1.0));
-    e.value = num_field(line, "value");
-    e.value2 = num_field(line, "value2");
+    e.ts_us = r.number_or("ts_us", 0.0);
+    e.dur_us = r.number_or("dur_us", 0.0);
+    e.tid = static_cast<std::int32_t>(r.int64_or("tid", -1));
+    e.node = static_cast<std::int32_t>(r.int64_or("node", -1));
+    e.tenant = static_cast<std::int32_t>(r.int64_or("tenant", -1));
+    e.vm = static_cast<std::int32_t>(r.int64_or("vm", -1));
+    e.window = static_cast<std::int32_t>(r.int64_or("window", -1));
+    e.resource = static_cast<std::int8_t>(r.int64_or("resource", -1));
+    e.phase = static_cast<std::int8_t>(r.int64_or("phase", -1));
+    e.value = r.number_or("value", 0.0);
+    e.value2 = r.number_or("value2", 0.0);
     out.push_back(e);
   }
   return out;
 }
 
 void EventTracer::write_chrome_trace(std::ostream& os) const {
-  os << "{\"traceEvents\":[\n";
-  bool first = true;
-  // Tracks are real OS threads now, so label the ones the profiler knows
+  std::vector<json::Value> out;
+  // Tracks are real OS threads, so label the ones the profiler knows
   // about ("main", "pool/worker-N") with thread_name metadata events.
   for (const auto& [tid, name] : profiled_thread_names()) {
-    os << (first ? "" : ",\n");
-    first = false;
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << tid
-       << ",\"args\":{\"name\":\"" << name << "\"}}";
+    out.push_back(chrome_thread_name(tid, name));
   }
-  for (const TraceEvent& e : events()) {
-    os << (first ? "" : ",\n");
-    first = false;
-    const int tid = e.tid >= 0 ? e.tid : 0;
-    if (e.kind == EventKind::kPhase) {
-      const char* name =
-          e.phase >= 0 && e.phase < static_cast<int>(kPhaseCount)
-              ? to_string(static_cast<Phase>(e.phase))
-              : "phase";
-      os << "{\"name\":\"" << name << "\",\"cat\":\"phase\",\"ph\":\"X\""
-         << ",\"ts\":" << e.ts_us << ",\"dur\":" << e.dur_us
-         << ",\"pid\":0,\"tid\":" << tid << ",\"args\":{\"node\":" << e.node
-         << ",\"window\":" << e.window << "}}";
-    } else {
-      os << "{\"name\":\"" << to_string(e.kind)
-         << "\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\""
-         << ",\"ts\":" << e.ts_us << ",\"pid\":0,\"tid\":" << tid
-         << ",\"args\":{\"node\":" << e.node << ",\"tenant\":" << e.tenant
-         << ",\"vm\":" << e.vm << ",\"window\":" << e.window
-         << ",\"resource\":" << static_cast<int>(e.resource)
-         << ",\"value\":" << e.value << ",\"value2\":" << e.value2 << "}}";
-    }
-  }
-  os << "\n]}\n";
+  for (const TraceEvent& e : events()) out.push_back(event_to_chrome(e));
+  write_chrome_events(os, out);
 }
 
 EventTracer& tracer() {

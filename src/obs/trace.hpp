@@ -5,7 +5,8 @@
 // simulation run degrades gracefully: once the ring is full the oldest
 // events are overwritten and `dropped()` says how many were lost.
 //
-// Events can be exported two ways:
+// Events can be exported two ways, both through the common/json codec so
+// timestamps and values keep every digit:
 //  * JSONL — one self-describing JSON object per line; round-trips through
 //    read_jsonl() for offline analysis;
 //  * Chrome trace format — a {"traceEvents": [...]} document that loads
@@ -92,7 +93,9 @@ class EventTracer {
 
   void write_jsonl(std::ostream& os) const;
   void write_chrome_trace(std::ostream& os) const;
-  /// Parses write_jsonl() output (unknown lines are skipped).
+  /// Parses write_jsonl() output.  Lines that are not objects with a
+  /// known "kind" are skipped; a known event with a mistyped field throws
+  /// DomainError.
   static std::vector<TraceEvent> read_jsonl(std::istream& is);
 
  private:

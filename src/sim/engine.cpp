@@ -404,6 +404,8 @@ SimResult run_simulation(const Scenario& scenario,
                          const EngineConfig& config) {
   RRF_REQUIRE(config.window > 0.0 && config.duration >= config.window,
               "bad window/duration");
+  RRF_REQUIRE(!config.rebalance.enabled || config.rebalance.every_windows > 0,
+              "rebalancing needs every_windows > 0");
   // Profiler root covering everything before the first window (node/HV
   // construction, auditor setup); closed explicitly below so the window
   // loop's own roots are not nested under it.

@@ -1,6 +1,5 @@
 #include "sim/flight_replay.hpp"
 
-#include <cmath>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -45,34 +44,6 @@ hv::MemoryBackend backend_from_name(const std::string& name) {
   if (name == "hotplug") return hv::MemoryBackend::kHotplug;
   if (name == "cgroup") return hv::MemoryBackend::kCgroup;
   fail("unknown memory backend '" + name + "'");
-}
-
-double num_field(const json::Value& object, const char* key) {
-  const json::Value* v = object.find(key);
-  if (v == nullptr || !v->is_number()) {
-    fail(std::string("engine section: missing number '") + key + "'");
-  }
-  return v->as_number();
-}
-
-bool bool_field(const json::Value& object, const char* key) {
-  const json::Value* v = object.find(key);
-  if (v == nullptr || !v->is_bool()) {
-    fail(std::string("engine section: missing bool '") + key + "'");
-  }
-  return v->as_bool();
-}
-
-std::size_t size_field(const json::Value& object, const char* key) {
-  return static_cast<std::size_t>(num_field(object, key));
-}
-
-std::string str_field(const json::Value& object, const char* key) {
-  const json::Value* v = object.find(key);
-  if (v == nullptr || !v->is_string()) {
-    fail(std::string("engine section: missing string '") + key + "'");
-  }
-  return v->as_string();
 }
 
 /// Workload that replays the per-VM demand table captured in a recording.
@@ -220,62 +191,52 @@ EngineConfig engine_config_from_recording(
   if (header.kind != "sim") {
     fail("engine config requested from a '" + header.kind + "' recording");
   }
-  const json::Value& engine = header.engine;
-  if (!engine.is_object()) fail("engine section is not an object");
+  const json::Reader engine(header.engine, "flightrec: engine section",
+                            "value");
 
   EngineConfig config;
   config.policy = policy_from_string(header.policy);
   config.window = header.window;
   config.duration = header.duration;
-  config.use_actuators = bool_field(engine, "use_actuators");
-  config.memory_backend =
-      backend_from_name(str_field(engine, "memory_backend"));
-  config.balloon_rate_gb_s = num_field(engine, "balloon_rate_gb_s");
-  config.use_sliced_scheduler = bool_field(engine, "use_sliced_scheduler");
-  config.use_predictor = bool_field(engine, "use_predictor");
-  config.ltrf_alpha = num_field(engine, "ltrf_alpha");
-  config.parallel_nodes = bool_field(engine, "parallel_nodes");
+  config.use_actuators = engine.boolean("use_actuators");
+  config.memory_backend = backend_from_name(engine.string("memory_backend"));
+  config.balloon_rate_gb_s = engine.number("balloon_rate_gb_s");
+  config.use_sliced_scheduler = engine.boolean("use_sliced_scheduler");
+  config.use_predictor = engine.boolean("use_predictor");
+  config.ltrf_alpha = engine.number("ltrf_alpha");
+  config.parallel_nodes = engine.boolean("parallel_nodes");
   // Additive in schema v2: recordings made before sharding omit it.
-  if (const json::Value* shards = engine.find("shards");
-      shards != nullptr && shards->is_number()) {
-    config.shards = static_cast<std::size_t>(shards->as_number());
-  }
+  config.shards = engine.size_or("shards", config.shards);
 
-  const json::Value* predictor = engine.find("predictor");
-  if (predictor == nullptr) fail("engine section: missing 'predictor'");
-  config.predictor.ewma_alpha = num_field(*predictor, "ewma_alpha");
-  config.predictor.base_padding = num_field(*predictor, "base_padding");
-  config.predictor.max_padding = num_field(*predictor, "max_padding");
-  config.predictor.error_window = size_field(*predictor, "error_window");
-  config.predictor.enable_periodicity =
-      bool_field(*predictor, "enable_periodicity");
-  config.predictor.history = size_field(*predictor, "history");
-  config.predictor.min_period = size_field(*predictor, "min_period");
-  config.predictor.period_confidence =
-      num_field(*predictor, "period_confidence");
-  config.predictor.redetect_every = size_field(*predictor, "redetect_every");
+  const json::Reader predictor = engine.object("predictor");
+  config.predictor.ewma_alpha = predictor.number("ewma_alpha");
+  config.predictor.base_padding = predictor.number("base_padding");
+  config.predictor.max_padding = predictor.number("max_padding");
+  config.predictor.error_window = predictor.size("error_window");
+  config.predictor.enable_periodicity = predictor.boolean("enable_periodicity");
+  config.predictor.history = predictor.size("history");
+  config.predictor.min_period = predictor.size("min_period");
+  config.predictor.period_confidence = predictor.number("period_confidence");
+  config.predictor.redetect_every = predictor.size("redetect_every");
 
-  const json::Value* perf = engine.find("perf");
-  if (perf == nullptr) fail("engine section: missing 'perf'");
-  config.perf.mem_penalty_exponent =
-      num_field(*perf, "mem_penalty_exponent");
-  config.perf.progress_floor = num_field(*perf, "progress_floor");
+  const json::Reader perf = engine.object("perf");
+  config.perf.mem_penalty_exponent = perf.number("mem_penalty_exponent");
+  config.perf.progress_floor = perf.number("progress_floor");
   config.perf.latency_saturation_guard =
-      num_field(*perf, "latency_saturation_guard");
+      perf.number("latency_saturation_guard");
 
-  const json::Value* rebalance = engine.find("rebalance");
-  if (rebalance == nullptr) fail("engine section: missing 'rebalance'");
-  config.rebalance.enabled = bool_field(*rebalance, "enabled");
-  config.rebalance.every_windows = size_field(*rebalance, "every_windows");
+  const json::Reader rebalance = engine.object("rebalance");
+  config.rebalance.enabled = rebalance.boolean("enabled");
+  config.rebalance.every_windows = rebalance.size("every_windows");
+  if (config.rebalance.enabled && config.rebalance.every_windows == 0) {
+    rebalance.fail("rebalancing is enabled with every_windows 0");
+  }
   config.rebalance.options.pressure_gap_threshold =
-      num_field(*rebalance, "pressure_gap_threshold");
-  config.rebalance.options.max_migrations =
-      size_field(*rebalance, "max_migrations");
-  config.rebalance.penalty_windows =
-      size_field(*rebalance, "penalty_windows");
-  config.rebalance.slowdown = num_field(*rebalance, "slowdown");
-  config.rebalance.demand_ema_alpha =
-      num_field(*rebalance, "demand_ema_alpha");
+      rebalance.number("pressure_gap_threshold");
+  config.rebalance.options.max_migrations = rebalance.size("max_migrations");
+  config.rebalance.penalty_windows = rebalance.size("penalty_windows");
+  config.rebalance.slowdown = rebalance.number("slowdown");
+  config.rebalance.demand_ema_alpha = rebalance.number("demand_ema_alpha");
   return config;
 }
 

@@ -8,6 +8,8 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
+#include "common/table.hpp"
 
 namespace rrf::wl {
 
@@ -51,28 +53,9 @@ std::unique_ptr<ReplayWorkload> ReplayWorkload::from_csv(
     std::stringstream ss(line);
     std::string cell;
     std::vector<double> values;
+    const std::string where = "replay CSV line " + std::to_string(line_no);
     while (std::getline(ss, cell, ',')) {
-      double value = 0.0;
-      std::size_t used = 0;
-      try {
-        value = std::stod(cell, &used);
-      } catch (const std::exception&) {
-        used = 0;
-      }
-      // stod skips leading whitespace; allow trailing whitespace (a CRLF
-      // file's '\r') but nothing else after the number.
-      const bool trailing_junk =
-          used == 0 || cell.find_first_not_of(" \t\r", used) !=
-                           std::string::npos;
-      if (trailing_junk) {
-        throw DomainError("replay CSV line " + std::to_string(line_no) +
-                          ": not a number: " + cell);
-      }
-      if (!std::isfinite(value)) {
-        throw DomainError("replay CSV line " + std::to_string(line_no) +
-                          ": not a finite number: " + cell);
-      }
-      values.push_back(value);
+      values.push_back(parse_csv_number(cell, where));
     }
     if (values.size() < 3) {
       throw DomainError("replay CSV line " + std::to_string(line_no) +
@@ -125,12 +108,12 @@ std::vector<ResourceVector> ReplayWorkload::vm_demands_at(Seconds t) const {
 void export_trace_csv(const Workload& workload, Seconds duration, Seconds dt,
                       std::ostream& out) {
   RRF_REQUIRE(duration > 0.0 && dt > 0.0, "positive duration and dt");
-  out.precision(17);  // lossless double round-trip
   out << "t_seconds,cpu_ghz,ram_gb\n";
   for (Seconds t = 0.0; t < duration; t += dt) {
     const ResourceVector d = workload.demand_at(t);
-    out << t << ',' << d[Resource::kCpu] << ',' << d[Resource::kRam]
-        << '\n';
+    out << json::format_number(t) << ','
+        << json::format_number(d[Resource::kCpu]) << ','
+        << json::format_number(d[Resource::kRam]) << '\n';
   }
 }
 

@@ -74,11 +74,24 @@ TEST(EntityIo, RejectsMalformedInput) {
     std::stringstream header_only("name,s0,s1,d0,d1\n");
     EXPECT_THROW(read_entities_csv(header_only), DomainError);
   }
-  for (const char* cell : {"inf", "-inf", "nan", "INF", "NaN"}) {
-    std::stringstream non_finite(std::string("name,s0,s1,d0,d1\nA,1,2,") +
-                                 cell + ",4\n");
-    EXPECT_THROW(read_entities_csv(non_finite), DomainError) << cell;
+  // Non-finite cells, and trailing junk that std::stod alone would stop
+  // at ("50x" reading as 50).
+  for (const char* cell : {"inf", "-inf", "nan", "INF", "NaN", "50x",
+                           "2.5abc", "1.5e", "7 8", "1e999"}) {
+    std::stringstream bad_cell(std::string("name,s0,s1,d0,d1\nA,1,2,") +
+                               cell + ",4\n");
+    EXPECT_THROW(read_entities_csv(bad_cell), DomainError) << cell;
   }
+}
+
+TEST(EntityIo, AcceptsSurroundingWhitespaceAndCrlf) {
+  std::stringstream spaced("name,s0,s1,d0,d1\r\nA, 1 ,\t2,3 ,4\r\n");
+  const auto entities = read_entities_csv(spaced);
+  ASSERT_EQ(entities.size(), 1u);
+  EXPECT_EQ(entities[0].initial_share[0], 1.0);
+  EXPECT_EQ(entities[0].initial_share[1], 2.0);
+  EXPECT_EQ(entities[0].demand[0], 3.0);
+  EXPECT_EQ(entities[0].demand[1], 4.0);
 }
 
 TEST(EntityIo, FormatResultPrintsFractionsExactly) {

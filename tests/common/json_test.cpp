@@ -28,8 +28,8 @@ TEST(Json, NonFiniteNumbersBecomeNull) {
 }
 
 TEST(Json, EscapesStrings) {
-  EXPECT_EQ(json::escape("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-  EXPECT_EQ(json::escape(std::string(1, '\x01')), "\"\\u0001\"");
+  EXPECT_EQ(json::Value("a\"b\\c\n").dump(), "\"a\\\"b\\\\c\\n\"");
+  EXPECT_EQ(json::Value(std::string(1, '\x01')).dump(), "\"\\u0001\"");
 }
 
 TEST(Json, ObjectKeepsInsertionOrder) {
@@ -44,10 +44,14 @@ TEST(Json, PrettyPrints) {
 
 TEST(Json, NumbersRoundTripExactly) {
   for (const double d : {0.0, -1.5, 1.0 / 3.0, 1e-300, 12345678901234567.0,
-                         0.1, 6.02214076e23}) {
+                         0.1, 6.02214076e23, 5.684341886080802e-14}) {
     const json::Value parsed = json::Value::parse(json::Value(d).dump());
     EXPECT_EQ(parsed.as_number(), d);
   }
+  // Shortest round-trip form: a %.15g/%.16g/%.17g probe would settle for
+  // the 17-digit 5.6843418860808015e-14.
+  EXPECT_EQ(json::Value(5.684341886080802e-14).dump(), "5.684341886080802e-14");
+  EXPECT_EQ(json::Value(0.1).dump(), "0.1");
 }
 
 TEST(Json, IntegralValuesDumpAsPlainIntegers) {
@@ -60,8 +64,9 @@ TEST(Json, IntegralValuesDumpAsPlainIntegers) {
   EXPECT_EQ(json::Value(1e15).dump(), "1000000000000000");
   EXPECT_EQ(json::Value(9007199254740992.0).dump(), "9007199254740992");
   EXPECT_EQ(json::Value(0.0).dump(), "0");
-  // Above 2^53 integers are not exactly representable; the round-trip
-  // %g path takes over.  Non-integral and signed-zero values keep it too.
+  // Above 2^53 integers are not exactly representable; the shortest
+  // round-trip path takes over.  Non-integral and signed-zero values keep
+  // it too.
   EXPECT_EQ(json::Value(1e16).dump(), "1e+16");
   EXPECT_EQ(json::Value(0.5).dump(), "0.5");
   EXPECT_EQ(json::Value(-0.0).dump(), "-0");

@@ -10,6 +10,7 @@
 #include <array>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -181,11 +182,36 @@ TEST(ObsExposition, WritePrometheusRendersAllInstrumentKinds) {
   for (const double q : {0.5, 0.95, 0.99}) {
     std::ostringstream needle;
     needle << "rrf_latency_summary{quantile=\"" << q << "\"} "
-           << h.quantile(q) << '\n';
+           << json::format_number(h.quantile(q)) << '\n';
     EXPECT_NE(text.find(needle.str()), std::string::npos) << needle.str();
   }
   EXPECT_NE(text.find("rrf_latency_summary_sum 7\n"), std::string::npos);
   EXPECT_NE(text.find("rrf_latency_summary_count 3\n"), std::string::npos);
+}
+
+TEST(ObsExposition, GaugesKeepEveryDigitInJsonAndPrometheus) {
+  MetricsRegistry registry;
+  registry.gauge("cell.value").set(1383.8234567);
+  registry.gauge("cell.nan").set(std::numeric_limits<double>::quiet_NaN());
+  registry.gauge("cell.inf").set(-std::numeric_limits<double>::infinity());
+
+  std::ostringstream json_out;
+  registry.write_json(json_out);
+  const json::Value doc = json::Value::parse(json_out.str());
+  const json::Value* gauges = doc.find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  EXPECT_EQ(gauges->find("cell.value")->as_number(), 1383.8234567);
+  // JSON has no NaN/Inf: non-finite gauges are null.
+  EXPECT_TRUE(gauges->find("cell.nan")->is_null());
+  EXPECT_TRUE(gauges->find("cell.inf")->is_null());
+
+  std::ostringstream prom;
+  write_prometheus(prom, registry);
+  const std::string text = prom.str();
+  EXPECT_NE(text.find("rrf_cell_value 1383.8234567\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("rrf_cell_nan NaN\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("rrf_cell_inf -Inf\n"), std::string::npos) << text;
 }
 
 TEST(ObsExposition, SummaryQuantilesKeepTheirLabels) {

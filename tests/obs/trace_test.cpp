@@ -147,6 +147,30 @@ TEST(ObsTrace, JsonlRoundTripsEveryField) {
   EXPECT_DOUBLE_EQ(parsed[1].value2, -1.25);
 }
 
+TEST(ObsTrace, TimestampsAndValuesKeepEveryDigit) {
+  // Past one second of run time a 6-significant-digit writer snapped
+  // ts_us to 10 us (2.30688e+06).
+  EventTracer tracer_(4);
+  TraceEvent e = make_event(EventKind::kIrtTrade, 3);
+  e.ts_us = 2306881.523;
+  e.value = 1.6223187;
+  tracer_.record(e);
+
+  std::stringstream buffer;
+  tracer_.write_jsonl(buffer);
+  const auto parsed = EventTracer::read_jsonl(buffer);
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].ts_us, 2306881.523);
+  EXPECT_EQ(parsed[0].value, 1.6223187);
+
+  std::ostringstream chrome;
+  tracer_.write_chrome_trace(chrome);
+  EXPECT_NE(chrome.str().find("\"ts\":2306881.523,"), std::string::npos)
+      << chrome.str();
+  EXPECT_NE(chrome.str().find("\"value\":1.6223187,"), std::string::npos)
+      << chrome.str();
+}
+
 TEST(ObsTrace, ReadJsonlSkipsUnknownLines) {
   std::stringstream buffer;
   buffer << "not json\n"

@@ -4,6 +4,7 @@
 // the allocations themselves.
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -158,6 +159,52 @@ TEST(FlightReplay, TruncatedRecordingsAreRefused) {
   recording.rounds.erase(recording.rounds.begin() + 1);
   recording.trailer.reset();
   EXPECT_THROW(sim::replay_recording(recording), DomainError);
+}
+
+/// A recording of a small cell whose header line carries one edit, as a
+/// hand-edited or corrupted file would.
+std::string recording_with_header_edit(const std::string& from,
+                                       const std::string& to) {
+  const sim::Scenario scenario = pinned_cell(2, 4, 2);
+  sim::EngineConfig config;
+  config.policy = sim::PolicyKind::kRrf;
+  config.window = 5.0;
+  config.duration = 10.0;
+  config.audit.enabled = false;
+  std::ostringstream out;
+  {
+    obs::FlightRecorder recorder(out);
+    recorder.write_header(sim::make_flight_header(scenario, config));
+    config.flight = &recorder;
+    sim::run_simulation(scenario, config);
+    recorder.finish();
+  }
+  std::string text = out.str();
+  const std::size_t at = text.find(from);
+  EXPECT_LT(at, text.find('\n')) << "header has no " << from;
+  if (at < text.find('\n')) text.replace(at, from.size(), to);
+  return text;
+}
+
+TEST(FlightReplay, OutOfRangeEngineAndPlacementFieldsAreRefused) {
+  const std::pair<std::string, std::string> edits[] = {
+      // A rebalance period of 0 windows would divide by zero in the engine.
+      {R"("enabled":false,"every_windows":60)",
+       R"("enabled":true,"every_windows":0)"},
+      // Negative counts and indices must not be cast to size_t.
+      {R"("history":256)", R"("history":-1)"},
+      {R"("unplaced":[])", R"("unplaced":[[-1,7]])"},
+  };
+  for (const auto& [from, to] : edits) {
+    const std::string text = recording_with_header_edit(from, to);
+    EXPECT_THROW(
+        {
+          std::istringstream in(text);
+          sim::replay_recording(obs::FlightRecording::load(in));
+        },
+        DomainError)
+        << to;
+  }
 }
 
 TEST(FlightReplay, ExplainRendersTheSimDecisionChain) {

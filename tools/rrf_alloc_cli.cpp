@@ -19,6 +19,7 @@
 #include "alloc/flight_capture.hpp"
 #include "cli_util.hpp"
 #include "common/stats.hpp"
+#include "common/table.hpp"
 #include "obs/exposition.hpp"
 #include "obs/flightrec.hpp"
 #include "obs/journal.hpp"
@@ -61,7 +62,9 @@ ResourceVector parse_vector(const std::string& text) {
   std::vector<double> values;
   std::stringstream ss(text);
   std::string cell;
-  while (std::getline(ss, cell, ',')) values.push_back(std::stod(cell));
+  while (std::getline(ss, cell, ',')) {
+    values.push_back(parse_csv_number(cell, "--capacity"));
+  }
   if (values.empty()) usage(2);
   return ResourceVector(std::span<const double>(values));
 }
