@@ -36,8 +36,9 @@ class SquareWorkload final : public wl::Workload {
     return std::fmod(t, period_) < period_ / 2.0 ? low_ : high_;
   }
   std::vector<double> vm_split() const override { return {1.0}; }
-  std::vector<ResourceVector> vm_demands_at(Seconds t) const override {
-    return {demand_at(t)};
+  void vm_demands_into(Seconds t,
+                       std::span<ResourceVector> out) const override {
+    out[0] = demand_at(t);
   }
 
  private:

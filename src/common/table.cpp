@@ -113,4 +113,24 @@ double parse_csv_number(const std::string& cell, const std::string& where) {
   return value;
 }
 
+std::uint64_t parse_csv_count(const std::string& cell,
+                              const std::string& where) {
+  // stoull would accept (and wrap) a leading '-', so demand a digit first.
+  const std::size_t first = cell.find_first_not_of(" \t");
+  std::uint64_t value = 0;
+  std::size_t used = 0;
+  if (first != std::string::npos && cell[first] >= '0' && cell[first] <= '9') {
+    try {
+      value = std::stoull(cell, &used);
+    } catch (const std::exception&) {
+      used = 0;
+    }
+  }
+  if (used == 0 ||
+      cell.find_first_not_of(" \t\r", used) != std::string::npos) {
+    throw DomainError(where + ": not a non-negative integer: " + cell);
+  }
+  return value;
+}
+
 }  // namespace rrf

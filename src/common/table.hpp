@@ -6,6 +6,7 @@
 // the same data for plotting.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -45,5 +46,11 @@ void write_csv(const std::string& path,
 /// file's '\r' included) is allowed; an empty cell, trailing junk ("50x"),
 /// inf and nan throw DomainError("<where>: not a [finite] number: <cell>").
 double parse_csv_number(const std::string& cell, const std::string& where);
+
+/// The integer sibling of parse_csv_number: one cell as a non-negative
+/// integer.  A sign, a fraction, trailing junk or a value past uint64
+/// throw DomainError("<where>: not a non-negative integer: <cell>").
+std::uint64_t parse_csv_count(const std::string& cell,
+                              const std::string& where);
 
 }  // namespace rrf

@@ -1,7 +1,6 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
-#include <iomanip>
 #include <ostream>
 
 #include "common/error.hpp"
@@ -69,11 +68,11 @@ double TimeSeriesRecorder::mean(std::size_t tenant, Field field) const {
 
 void TimeSeriesRecorder::write_csv(std::ostream& os) const {
   os << "window,t_seconds,tenant,demand_ratio,alloc_ratio,perf_score\n";
-  os << std::setprecision(6);
   for (const Row& row : rows_) {
-    os << row.window << ',' << row.time_s << ',' << names_[row.tenant] << ','
-       << row.demand_ratio << ',' << row.alloc_ratio << ',' << row.perf_score
-       << '\n';
+    os << row.window << ',' << json::format_number(row.time_s) << ','
+       << names_[row.tenant] << ',' << json::format_number(row.demand_ratio)
+       << ',' << json::format_number(row.alloc_ratio) << ','
+       << json::format_number(row.perf_score) << '\n';
   }
 }
 
@@ -96,7 +95,6 @@ void TimeSeriesRecorder::write_wide_csv(std::ostream& os, Field field) const {
   os << "t_seconds";
   for (const std::string& name : names_) os << ',' << name;
   os << '\n';
-  os << std::setprecision(6);
 
   // Rows arrive window-major from the engine but nothing guarantees it, so
   // index by (window, tenant) explicitly.
@@ -107,9 +105,9 @@ void TimeSeriesRecorder::write_wide_csv(std::ostream& os, Field field) const {
     times[row.window] = row.time_s;
   }
   for (std::size_t w = 0; w < windows_; ++w) {
-    os << times[w];
+    os << json::format_number(times[w]);
     for (std::size_t t = 0; t < names_.size(); ++t) {
-      os << ',' << cells[w * names_.size() + t];
+      os << ',' << json::format_number(cells[w * names_.size() + t]);
     }
     os << '\n';
   }

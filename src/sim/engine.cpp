@@ -488,6 +488,19 @@ SimResult run_simulation(const Scenario& scenario,
   std::vector<double> tenant_gained(tenant_count, 0.0);
   std::vector<double> tenant_lambda(tenant_count, 0.0);
   std::vector<double> node_pressure(host_count, 0.0);
+  RRF_REQUIRE(scenario.workloads.size() == tenant_count,
+              "one workload per tenant");
+  // Per-VM demands of the round, flat across tenants: tenant t's VMs sit
+  // at demands[demand_offset[t] + vm].  Sized once, refilled in place.
+  std::vector<std::size_t> demand_offset(tenant_count + 1, 0);
+  for (std::size_t t = 0; t < tenant_count; ++t) {
+    const std::size_t vms = scenario.workloads[t]->vm_split().size();
+    RRF_REQUIRE(vms >= cl.tenants()[t].vms.size(),
+                "workload has fewer VMs than its tenant");
+    demand_offset[t + 1] = demand_offset[t] + vms;
+  }
+  std::vector<ResourceVector> demands(demand_offset[tenant_count],
+                                      ResourceVector(kDefaultResourceCount));
 
   // ---- shard plan for the parallel round ----
   // One pool task per shard; each shard walks its contiguous node range
@@ -691,9 +704,11 @@ SimResult run_simulation(const Scenario& scenario,
 
     // Sample per-VM demands once per tenant (shared by all nodes).
     obs::ProfileScope demands_profile("window.demands");
-    std::vector<std::vector<ResourceVector>> demands(tenant_count);
+    // rrf-hot-path: begin(engine.demands)
     for (std::size_t t = 0; t < tenant_count; ++t) {
-      demands[t] = scenario.workloads[t]->vm_demands_at(now);
+      scenario.workloads[t]->vm_demands_into(
+          now, std::span<ResourceVector>(demands).subspan(
+                   demand_offset[t], demand_offset[t + 1] - demand_offset[t]));
     }
 
     for (auto& g : tenant_granted) g = ResourceVector(kDefaultResourceCount);
@@ -708,6 +723,7 @@ SimResult run_simulation(const Scenario& scenario,
     std::fill(tenant_gained.begin(), tenant_gained.end(), 0.0);
     std::fill(tenant_lambda.begin(), tenant_lambda.end(), 0.0);
     std::fill(node_pressure.begin(), node_pressure.end(), 0.0);
+    // rrf-hot-path: end(engine.demands)
     demands_profile.stop();
 
     auto process_node = [&](std::size_t h) {
@@ -734,7 +750,7 @@ SimResult run_simulation(const Scenario& scenario,
         // rrf-hot-path: begin(engine.predict)
         for (std::size_t i = 0; i < n; ++i) {
           const VmSlot& slot = node.slots[i];
-          node.actual_demand[i] = demands[slot.tenant][slot.vm];
+          node.actual_demand[i] = demands[demand_offset[slot.tenant] + slot.vm];
 
           ResourceVector forecast = node.actual_demand[i];
           if (config.use_predictor) {

@@ -1,5 +1,6 @@
 #include "sim/flight_replay.hpp"
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -77,8 +78,11 @@ class RecordedWorkload final : public wl::Workload {
     return std::vector<double>(n, 1.0 / static_cast<double>(n));
   }
 
-  std::vector<ResourceVector> vm_demands_at(Seconds t) const override {
-    return row(t);
+  void vm_demands_into(Seconds t,
+                       std::span<ResourceVector> out) const override {
+    const std::vector<ResourceVector>& vms = row(t);
+    RRF_REQUIRE(out.size() == vms.size(), "vm_demands_into: one slot per VM");
+    std::copy(vms.begin(), vms.end(), out.begin());
   }
 
  private:

@@ -97,12 +97,11 @@ ResourceVector ReplayWorkload::demand_at(Seconds t) const {
   return demands_[idx];
 }
 
-std::vector<ResourceVector> ReplayWorkload::vm_demands_at(Seconds t) const {
+void ReplayWorkload::vm_demands_into(Seconds t,
+                                     std::span<ResourceVector> out) const {
+  RRF_REQUIRE(out.size() == split_.size(), "vm_demands_into: one slot per VM");
   const ResourceVector total = demand_at(t);
-  std::vector<ResourceVector> out;
-  out.reserve(split_.size());
-  for (const double f : split_) out.push_back(total * f);
-  return out;
+  for (std::size_t j = 0; j < split_.size(); ++j) out[j] = total * split_[j];
 }
 
 void export_trace_csv(const Workload& workload, Seconds duration, Seconds dt,

@@ -14,6 +14,11 @@ TraceWorkload::TraceWorkload(std::vector<double> split, double jitter,
   RRF_REQUIRE(!split_.empty(), "a workload needs at least one VM");
   const double sum = std::accumulate(split_.begin(), split_.end(), 0.0);
   RRF_REQUIRE(std::abs(sum - 1.0) < 1e-9, "vm split must sum to 1");
+  if (split_.size() > 1) {
+    MutexLock<AnnotatedMutex> lock(cache_mu_);
+    fractions_.resize(split_.size());
+    refresh_fractions(0);
+  }
 }
 
 void TraceWorkload::normalize_mean(const ResourceVector& target_average) {
@@ -40,32 +45,36 @@ ResourceVector TraceWorkload::demand_at(Seconds t) const {
   return trace_[index_for(t)];
 }
 
-std::vector<ResourceVector> TraceWorkload::vm_demands_at(Seconds t) const {
-  const ResourceVector total = demand_at(t);
-  const std::size_t n = split_.size();
-  std::vector<ResourceVector> out(n, ResourceVector(total.size()));
-  if (n == 1) {
-    out[0] = total;
-    return out;
-  }
-
+void TraceWorkload::refresh_fractions(std::uint64_t epoch) const {
   // Deterministic per-(VM, coarse-time) jitter: VM shares wander around
   // their split fractions on a ~60 s time scale, then are renormalized so
   // they still sum to the application total.  This creates the
   // intra-tenant imbalance IWA exists to fix without changing aggregates.
-  const auto epoch = static_cast<std::uint64_t>(std::max(0.0, t) / 60.0);
-  std::vector<double> weights(n);
+  const std::size_t n = split_.size();
   double wsum = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
     Rng r = Rng(seed_).fork(epoch * 1000 + j);
     const double factor = r.normal_in(1.0, jitter_, 0.25, 1.75);
-    weights[j] = split_[j] * factor;
-    wsum += weights[j];
+    fractions_[j] = split_[j] * factor;
+    wsum += fractions_[j];
   }
-  for (std::size_t j = 0; j < n; ++j) {
-    out[j] = total * (weights[j] / wsum);
+  for (std::size_t j = 0; j < n; ++j) fractions_[j] /= wsum;
+  cached_epoch_ = epoch;
+}
+
+void TraceWorkload::vm_demands_into(Seconds t,
+                                    std::span<ResourceVector> out) const {
+  const std::size_t n = split_.size();
+  RRF_REQUIRE(out.size() == n, "vm_demands_into: one slot per VM");
+  const ResourceVector& total = trace_[index_for(t)];
+  if (n == 1) {
+    out[0] = total;
+    return;
   }
-  return out;
+  const auto epoch = static_cast<std::uint64_t>(std::max(0.0, t) / 60.0);
+  MutexLock<AnnotatedMutex> lock(cache_mu_);
+  if (epoch != cached_epoch_) refresh_fractions(epoch);
+  for (std::size_t j = 0; j < n; ++j) out[j] = total * fractions_[j];
 }
 
 namespace {

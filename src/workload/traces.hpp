@@ -4,8 +4,11 @@
 // object returns identical traces across policies being compared.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
+#include "common/instrumented_mutex.hpp"
+#include "common/thread_annotations.hpp"
 #include "workload/workload.hpp"
 
 namespace rrf::wl {
@@ -14,7 +17,8 @@ namespace rrf::wl {
 class TraceWorkload : public Workload {
  public:
   ResourceVector demand_at(Seconds t) const final;
-  std::vector<ResourceVector> vm_demands_at(Seconds t) const final;
+  void vm_demands_into(Seconds t,
+                       std::span<ResourceVector> out) const final;
   std::vector<double> vm_split() const final { return split_; }
 
   /// Length of the precomputed trace (seconds of unique data; the trace
@@ -37,9 +41,20 @@ class TraceWorkload : public Workload {
  private:
   std::size_t index_for(Seconds t) const;
 
+  /// Recomputes fractions_ for `epoch` (one seeded draw per VM).
+  void refresh_fractions(std::uint64_t epoch) const REQUIRES(cache_mu_);
+
   std::vector<double> split_;
   double jitter_;
   std::uint64_t seed_;
+
+  // One-entry cache of the per-VM demand fractions, keyed by the 60 s
+  // jitter epoch: the draws change once every 60 s, so consecutive rounds
+  // reuse them.  Sized once at construction; the mutex keeps concurrent
+  // callers (simulations sharing one Scenario) race-free.
+  mutable AnnotatedMutex cache_mu_;
+  mutable std::uint64_t cached_epoch_ GUARDED_BY(cache_mu_) = 0;
+  mutable std::vector<double> fractions_ GUARDED_BY(cache_mu_);
 };
 
 /// Irregular on-off OLTP load (TPC-C via DBT-2; client VM + DB VM).

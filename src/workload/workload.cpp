@@ -48,6 +48,12 @@ WorkloadPtr make_workload(WorkloadKind kind, std::uint64_t seed) {
   throw DomainError("unknown workload kind");
 }
 
+std::vector<ResourceVector> Workload::vm_demands_at(Seconds t) const {
+  std::vector<ResourceVector> out(vm_split().size());
+  vm_demands_into(t, out);
+  return out;
+}
+
 std::vector<WorkloadKind> paper_workloads() {
   return {WorkloadKind::kTpcc, WorkloadKind::kRubbos,
           WorkloadKind::kKernelBuild, WorkloadKind::kHadoop};

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,7 +56,14 @@ class Workload {
 
   /// Per-VM demand at t: vm_split() of demand_at() with VM-local jitter
   /// (deterministic per seed) so intra-tenant imbalance exists for IWA.
-  virtual std::vector<ResourceVector> vm_demands_at(Seconds t) const = 0;
+  /// Writes one entry per VM into `out`, whose size must equal
+  /// vm_split().size().  The built-in generators never touch the heap
+  /// here, so the engine samples every tenant each round allocation-free.
+  virtual void vm_demands_into(Seconds t,
+                               std::span<ResourceVector> out) const = 0;
+
+  /// Allocating convenience over vm_demands_into().
+  std::vector<ResourceVector> vm_demands_at(Seconds t) const;
 };
 
 using WorkloadPtr = std::unique_ptr<Workload>;

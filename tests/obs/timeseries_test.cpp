@@ -96,6 +96,34 @@ TEST(ObsTimeSeries, LongCsvAndJsonlCarryEverySample) {
   EXPECT_EQ(json_rows, recorder.rows().size());
 }
 
+// Both CSV shapes print through the JSON codec's shortest round-trip
+// formatter, so a ratio with ten significant digits reads back exactly.
+TEST(ObsTimeSeries, CsvValuesRoundTripAtFullPrecision) {
+  const double ratio = 0.9438761234;
+  const double time_s = 12345.678901;
+  TimeSeriesRecorder recorder;
+  recorder.set_tenants({"A"});
+  recorder.record(0, time_s, 0, ratio, ratio, ratio);
+
+  std::ostringstream wide;
+  recorder.write_wide_csv(wide, Field::kAllocRatio);
+  std::istringstream wide_lines(wide.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(wide_lines, line));
+  ASSERT_TRUE(std::getline(wide_lines, line));
+  EXPECT_EQ(line, "12345.678901,0.9438761234");
+  const std::size_t comma = line.find(',');
+  EXPECT_EQ(std::stod(line.substr(0, comma)), time_s);
+  EXPECT_EQ(std::stod(line.substr(comma + 1)), ratio);
+
+  std::ostringstream long_form;
+  recorder.write_csv(long_form);
+  std::istringstream long_lines(long_form.str());
+  ASSERT_TRUE(std::getline(long_lines, line));
+  ASSERT_TRUE(std::getline(long_lines, line));
+  EXPECT_EQ(line, "0,12345.678901,A,0.9438761234,0.9438761234,0.9438761234");
+}
+
 TEST(ObsTimeSeries, ClearAllowsReuseAcrossRuns) {
   TimeSeriesRecorder recorder = two_tenant_recorder();
   recorder.clear();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "obs/profiler.hpp"
 
 namespace rrf::sim {
 namespace {
@@ -209,6 +210,37 @@ TEST(Engine, ObserverSeesEveryWindow) {
                   r.tenants[t].alloc_ratio_series()[w], 1e-9);
     }
   }
+}
+
+// The per-round demand sampling reuses one flat buffer and the workloads'
+// epoch caches, so once window 0 is done the window.demands frame sees no
+// heap traffic -- epoch-boundary windows (12 and 24 here) included.
+TEST(Engine, DemandSamplingAllocatesNothingAfterTheFirstWindow) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const Scenario s = fill_scenario(/*hosts=*/4, wl::paper_workloads(),
+                                   /*alpha=*/1.0, /*seed=*/1,
+                                   /*max_tenants=*/16);
+  EngineConfig config = fast_engine(PolicyKind::kRrf);
+  config.duration = 30 * config.window;
+  config.rebalance.enabled = true;
+  config.observer = [](const WindowSnapshot& snap) {
+    if (snap.window == 0) obs::profile_reset();
+  };
+  const bool profiling_before = obs::profiling_enabled();
+  obs::set_profiling_enabled(true);
+  run_simulation(s, config);
+  const obs::ProfileSnapshot snapshot = obs::profile_snapshot();
+  obs::profile_reset();
+  obs::set_profiling_enabled(profiling_before);
+
+  bool found = false;
+  for (const obs::ProfileNode& node : snapshot.merged) {
+    if (node.site != "window.demands") continue;
+    found = true;
+    EXPECT_EQ(node.calls, 29u);
+    EXPECT_EQ(node.bytes, 0u);
+  }
+  EXPECT_TRUE(found) << "no window.demands frame";
 }
 
 TEST(Engine, PolicyStringRoundTrip) {

@@ -24,10 +24,10 @@ class SpikingWorkload final : public wl::Workload {
     return base_->demand_at(t) * multiplier(t);
   }
   std::vector<double> vm_split() const override { return base_->vm_split(); }
-  std::vector<ResourceVector> vm_demands_at(Seconds t) const override {
-    auto out = base_->vm_demands_at(t);
+  void vm_demands_into(Seconds t,
+                       std::span<ResourceVector> out) const override {
+    base_->vm_demands_into(t, out);
     for (auto& d : out) d *= multiplier(t);
-    return out;
   }
 
  private:
@@ -53,8 +53,9 @@ class IdleWorkload final : public wl::Workload {
     return ResourceVector{0.0, 0.0};
   }
   std::vector<double> vm_split() const override { return {1.0}; }
-  std::vector<ResourceVector> vm_demands_at(Seconds t) const override {
-    return {demand_at(t)};
+  void vm_demands_into(Seconds t,
+                       std::span<ResourceVector> out) const override {
+    out[0] = demand_at(t);
   }
 };
 

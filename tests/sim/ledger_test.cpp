@@ -22,8 +22,9 @@ class ConstWorkload final : public wl::Workload {
   }
   ResourceVector demand_at(Seconds) const override { return demand_; }
   std::vector<double> vm_split() const override { return {1.0}; }
-  std::vector<ResourceVector> vm_demands_at(Seconds t) const override {
-    return {demand_at(t)};
+  void vm_demands_into(Seconds t,
+                       std::span<ResourceVector> out) const override {
+    out[0] = demand_at(t);
   }
 
  private:

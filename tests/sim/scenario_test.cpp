@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/error.hpp"
 
 namespace rrf::sim {
@@ -73,6 +75,92 @@ TEST(Scenario, FillScenarioDensityGrowsAsAlphaShrinks) {
   const Scenario loose = fill_scenario(1, cycle, 1.0, 42);
   EXPECT_GT(loose.cluster.tenants().size(),
             tight.cluster.tenants().size());
+}
+
+/// The oracle for fill_scenario: the quadratic loop it replaced, which
+/// rebuilds the whole scenario for 1, 2, ... tenants and keeps the last
+/// one whose newest tenant placed fully.
+Scenario naive_fill(std::size_t hosts,
+                    const std::vector<wl::WorkloadKind>& cycle, double alpha,
+                    std::uint64_t seed, std::size_t max_tenants) {
+  ScenarioConfig config;
+  config.hosts = hosts;
+  config.alpha = alpha;
+  config.seed = seed;
+  config.workloads = {cycle[0]};
+  Scenario best = build_scenario(config);
+  if (!best.unplaced.empty()) {
+    throw DomainError("not even one tenant fits at this alpha");
+  }
+  for (std::size_t k = 1; k < max_tenants; ++k) {
+    config.workloads.push_back(cycle[k % cycle.size()]);
+    Scenario next = build_scenario(config);
+    if (!next.unplaced.empty()) break;
+    best = std::move(next);
+  }
+  return best;
+}
+
+TEST(Scenario, FillMatchesTheNaivePerTenantLoop) {
+  using wl::WorkloadKind;
+  struct Case {
+    std::size_t hosts;
+    std::vector<WorkloadKind> cycle;
+    double alpha;
+    std::uint64_t seed;
+    std::size_t max_tenants;
+  };
+  const std::vector<Case> cases = {
+      {1, {WorkloadKind::kKernelBuild, WorkloadKind::kTpcc}, 1.0, 42, 64},
+      {1, {WorkloadKind::kTpcc}, 2.0, 42, 64},
+      {2, wl::paper_workloads(), 1.0, 7, 64},
+      {3, wl::paper_workloads(), 1.5, 11, 64},
+      {2,
+       {WorkloadKind::kHadoop, WorkloadKind::kKernelBuild,
+        WorkloadKind::kRubbos},
+       0.8, 3, 64},
+      {4, wl::paper_workloads(), 1.0, 1, 5},  // stops at max_tenants
+  };
+  bool stopped_mid_cycle = false;
+  for (const Case& c : cases) {
+    const std::string what = "hosts " + std::to_string(c.hosts) + " alpha " +
+                             std::to_string(c.alpha) + " seed " +
+                             std::to_string(c.seed);
+    const Scenario fast =
+        fill_scenario(c.hosts, c.cycle, c.alpha, c.seed, c.max_tenants);
+    const Scenario slow =
+        naive_fill(c.hosts, c.cycle, c.alpha, c.seed, c.max_tenants);
+    const auto& tenants = fast.cluster.tenants();
+    ASSERT_EQ(tenants.size(), slow.cluster.tenants().size()) << what;
+    EXPECT_EQ(fast.cluster.hosts().size(), slow.cluster.hosts().size());
+    EXPECT_EQ(fast.host_of, slow.host_of) << what;
+    EXPECT_EQ(fast.unplaced, slow.unplaced) << what;
+    EXPECT_TRUE(fast.unplaced.empty()) << what;
+    ASSERT_EQ(fast.workloads.size(), tenants.size()) << what;
+    for (std::size_t t = 0; t < tenants.size(); ++t) {
+      const auto& other = slow.cluster.tenants()[t];
+      EXPECT_EQ(tenants[t].name, other.name) << what;
+      EXPECT_EQ(fast.workloads[t]->name(), slow.workloads[t]->name());
+      ASSERT_EQ(tenants[t].vms.size(), other.vms.size()) << what;
+      for (std::size_t j = 0; j < tenants[t].vms.size(); ++j) {
+        const auto a = tenants[t].vms[j].provisioned.values();
+        const auto b = other.vms[j].provisioned.values();
+        EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+            << what << " tenant " << t << " vm " << j;
+        EXPECT_EQ(tenants[t].vms[j].vcpus, other.vms[j].vcpus) << what;
+      }
+    }
+    if (tenants.size() < c.max_tenants &&
+        tenants.size() % c.cycle.size() != 0) {
+      stopped_mid_cycle = true;
+    }
+  }
+  EXPECT_TRUE(stopped_mid_cycle) << "no case exercises a mid-cycle failure";
+}
+
+TEST(Scenario, FillNeedsAFixedPool) {
+  EXPECT_THROW(fill_scenario(/*hosts=*/0, wl::paper_workloads(), 1.0, 42),
+               PreconditionError);
 }
 
 TEST(Scenario, AutoSizesThePool) {

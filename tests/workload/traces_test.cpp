@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
+#include <thread>
 
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "workload/profile.hpp"
 
@@ -120,6 +124,141 @@ TEST(TraceShapes, TraceWrapsAround) {
   const KernelBuildWorkload w(3, /*length=*/100.0);
   EXPECT_TRUE(w.demand_at(0.0).approx_equal(w.demand_at(100.0), 1e-12));
   EXPECT_TRUE(w.demand_at(37.0).approx_equal(w.demand_at(137.0), 1e-12));
+}
+
+/// Per-VM jitter stddev each paper workload passes to TraceWorkload.
+double jitter_of(WorkloadKind kind) {
+  switch (kind) {
+    case WorkloadKind::kTpcc: return 0.10;
+    case WorkloadKind::kRubbos: return 0.08;
+    case WorkloadKind::kKernelBuild: return 0.0;
+    case WorkloadKind::kHadoop: return 0.05;
+  }
+  return 0.0;
+}
+
+/// The per-call formula the epoch cache replaced, transliterated: every
+/// call seeds one generator per VM and renormalises the jittered split.
+std::vector<ResourceVector> per_call_vm_demands(const Workload& w,
+                                                std::uint64_t seed,
+                                                double jitter, Seconds t) {
+  const ResourceVector total = w.demand_at(t);
+  const std::vector<double> split = w.vm_split();
+  const std::size_t n = split.size();
+  std::vector<ResourceVector> out(n, ResourceVector(total.size()));
+  if (n == 1) {
+    out[0] = total;
+    return out;
+  }
+  const auto epoch = static_cast<std::uint64_t>(std::max(0.0, t) / 60.0);
+  std::vector<double> weights(n);
+  double wsum = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    Rng r = Rng(seed).fork(epoch * 1000 + j);
+    const double factor = r.normal_in(1.0, jitter, 0.25, 1.75);
+    weights[j] = split[j] * factor;
+    wsum += weights[j];
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    out[j] = total * (weights[j] / wsum);
+  }
+  return out;
+}
+
+/// Epoch boundaries, the 2700 s trace wrap, negative t and jumps back to
+/// earlier epochs, in one order so the cache sees every transition.
+const std::vector<Seconds>& probe_times() {
+  static const std::vector<Seconds> times = {
+      0.0,    4.0,    59.0,   59.999, 60.0,   60.5,  119.0,  120.0,
+      5.0,    -1.0,   -60.5,  65.0,   600.0,  61.0,  2699.0, 2700.0,
+      2701.0, 2760.0, 5400.5, 61.0,   3000.0, 0.0,   179.99, 180.0};
+  return times;
+}
+
+void expect_same_bits(const std::vector<ResourceVector>& expected,
+                      std::span<const ResourceVector> actual,
+                      const std::string& what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  for (std::size_t j = 0; j < expected.size(); ++j) {
+    ASSERT_EQ(actual[j].size(), expected[j].size()) << what;
+    for (std::size_t k = 0; k < expected[j].size(); ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(actual[j][k]),
+                std::bit_cast<std::uint64_t>(expected[j][k]))
+          << what << " vm " << j << " type " << k;
+    }
+  }
+}
+
+TEST(TraceDemands, IntoMatchesThePerCallFormulaBitForBit) {
+  for (const WorkloadKind kind : paper_workloads()) {
+    for (const std::uint64_t seed : {1ull, 42ull, 1013ull}) {
+      const WorkloadPtr w = make_workload(kind, seed);
+      std::vector<ResourceVector> out(w->vm_split().size());
+      for (const Seconds t : probe_times()) {
+        const std::string what = to_string(kind) + " seed " +
+                                 std::to_string(seed) + " t " +
+                                 std::to_string(t);
+        w->vm_demands_into(t, out);
+        const auto expected = per_call_vm_demands(*w, seed, jitter_of(kind), t);
+        expect_same_bits(expected, out, what);
+        expect_same_bits(expected, w->vm_demands_at(t), what + " (at)");
+      }
+    }
+  }
+}
+
+TEST(TraceDemands, SingleVmWorkloadReturnsTheTotal) {
+  const KernelBuildWorkload w(3);
+  std::vector<ResourceVector> out(1);
+  for (const Seconds t : probe_times()) {
+    w.vm_demands_into(t, out);
+    expect_same_bits({w.demand_at(t)}, out, "t " + std::to_string(t));
+  }
+}
+
+TEST(TraceDemands, RejectsAMisSizedOutput) {
+  const HadoopWorkload w(3);
+  std::vector<ResourceVector> out(3);
+  EXPECT_THROW(w.vm_demands_into(0.0, out), PreconditionError);
+}
+
+// Two threads share one workload (as two simulations sharing a Scenario
+// do) and walk the epochs in opposite orders, so each keeps evicting the
+// other's cache entry.  Registered under the tsan ctest label.
+TEST(TraceDemands, ConcurrentCallersSeeIdenticalDemands) {
+  const WorkloadPtr w = make_workload(WorkloadKind::kHadoop, 5);
+  std::vector<Seconds> times;
+  for (int e = 0; e < 24; ++e) times.push_back(60.0 * e + 7.0);
+  std::vector<std::vector<ResourceVector>> expected;
+  for (const Seconds t : times) {
+    expected.push_back(
+        per_call_vm_demands(*w, 5, jitter_of(WorkloadKind::kHadoop), t));
+  }
+  auto walk = [&](bool reverse, std::size_t& mismatches) {
+    std::vector<ResourceVector> out(w->vm_split().size());
+    for (int rep = 0; rep < 50; ++rep) {
+      for (std::size_t i = 0; i < times.size(); ++i) {
+        const std::size_t at = reverse ? times.size() - 1 - i : i;
+        w->vm_demands_into(times[at], out);
+        for (std::size_t j = 0; j < out.size(); ++j) {
+          for (std::size_t k = 0; k < out[j].size(); ++k) {
+            if (std::bit_cast<std::uint64_t>(out[j][k]) !=
+                std::bit_cast<std::uint64_t>(expected[at][j][k])) {
+              ++mismatches;
+            }
+          }
+        }
+      }
+    }
+  };
+  std::size_t forward_bad = 0;
+  std::size_t backward_bad = 0;
+  std::thread forward(walk, false, std::ref(forward_bad));
+  std::thread backward(walk, true, std::ref(backward_bad));
+  forward.join();
+  backward.join();
+  EXPECT_EQ(forward_bad, 0u);
+  EXPECT_EQ(backward_bad, 0u);
 }
 
 TEST(Profile, CapturesPercentilesAndCorrelation) {

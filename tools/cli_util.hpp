@@ -8,8 +8,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
+#include "common/error.hpp"
+#include "common/table.hpp"
 #include "obs/journal.hpp"
 
 namespace rrf::tools {
@@ -21,6 +24,14 @@ inline constexpr const char* kJournalFlagsHelp =
     "                      inspect with rrf_inspect journal\n"
     "  --journal-retention <bytes>  bound journal disk use via two-segment\n"
     "                      rotation (default 0 = unbounded)\n";
+
+/// A TCP port flag value, whole-token (`--serve-ops 94x0` and 70000 throw
+/// DomainError naming the flag).
+inline int port_flag(const std::string& flag, const std::string& value) {
+  const std::uint64_t port = parse_csv_count(value, flag);
+  if (port > 65535) throw DomainError(flag + ": not a TCP port: " + value);
+  return static_cast<int>(port);
+}
 
 /// The journal flags shared by rrf_sim_cli and rrf_alloc_cli.
 struct JournalCliOptions {
@@ -39,7 +50,7 @@ struct JournalCliOptions {
       return true;
     }
     if (arg == "--journal-retention") {
-      retention = std::stoull(next());
+      retention = parse_csv_count(next(), arg);
       return true;
     }
     return false;

@@ -146,18 +146,25 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(2);
       return argv[++i];
     };
-    if (arg == "--help" || arg == "-h") usage(0);
-    else if (arg == "--policy") policy_name = next();
-    else if (arg == "--capacity") capacity_text = next();
-    else if (arg == "--record") record_path = next();
-    else if (arg == "--trace") trace_path = next();
-    else if (arg == "--metrics") metrics_path = next();
-    else if (arg == "--profile") profile_path = next();
-    else if (journal.parse_flag(arg, next)) {}
-    else if (arg == "--serve-ops") serve_ops_port = std::stoi(next());
-    else if (arg == "--serve-hold") serve_hold = std::stod(next());
-    else if (input_path.empty()) input_path = arg;
-    else usage(2);
+    auto real = [&] { return parse_csv_number(next(), arg); };
+    auto port = [&] { return tools::port_flag(arg, next()); };
+    try {
+      if (arg == "--help" || arg == "-h") usage(0);
+      else if (arg == "--policy") policy_name = next();
+      else if (arg == "--capacity") capacity_text = next();
+      else if (arg == "--record") record_path = next();
+      else if (arg == "--trace") trace_path = next();
+      else if (arg == "--metrics") metrics_path = next();
+      else if (arg == "--profile") profile_path = next();
+      else if (journal.parse_flag(arg, next)) {}
+      else if (arg == "--serve-ops") serve_ops_port = port();
+      else if (arg == "--serve-hold") serve_hold = real();
+      else if (input_path.empty()) input_path = arg;
+      else usage(2);
+    } catch (const DomainError& e) {
+      std::cerr << e.what() << "\n";
+      usage(2);
+    }
   }
   if (capacity_text.empty() || input_path.empty()) usage(2);
   obs::set_tracing_enabled(!trace_path.empty());

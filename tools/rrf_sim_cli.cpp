@@ -100,7 +100,8 @@ struct CliOptions {
       "  --workloads <list>  comma list of tpcc,rubbos,kernel,hadoop;\n"
       "                      repeats allowed (default: all four, once)\n"
       "  --alpha <f>         provisioning coefficient (default 1.0)\n"
-      "  --hosts <n>         number of paper hosts (default 1)\n"
+      "  --hosts <n>         number of paper hosts (default 1; 0 auto-sizes\n"
+      "                      the pool, which --fill rejects)\n"
       "  --fill              pack tenants (cycling --workloads) until the\n"
       "                      cluster is full instead of one tenant each\n"
       "  --duration <s>      simulated seconds (default 1200)\n"
@@ -190,43 +191,52 @@ CliOptions parse(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") usage(0);
-    else if (arg == "--policy") options.policy = next(i);
-    else if (arg == "--alpha") options.alpha = std::stod(next(i));
-    else if (arg == "--hosts") options.hosts = std::stoul(next(i));
-    else if (arg == "--fill") options.fill = true;
-    else if (arg == "--duration") options.duration = std::stod(next(i));
-    else if (arg == "--window") options.window = std::stod(next(i));
-    else if (arg == "--seed") options.seed = std::stoull(next(i));
-    else if (arg == "--no-actuators") options.actuators = false;
-    else if (arg == "--oracle") options.oracle = true;
-    else if (arg == "--memory") options.memory = next(i);
-    else if (arg == "--replay") options.replays.push_back(next(i));
-    else if (arg == "--sliced") options.sliced = true;
-    else if (arg == "--shards") options.shards = std::stoul(next(i));
-    else if (arg == "--synthetic") options.synthetic = next(i);
-    else if (arg == "--csv") options.csv = next(i);
-    else if (arg == "--record") options.record_path = next(i);
-    else if (arg == "--trace") options.trace_path = next(i);
-    else if (arg == "--metrics") options.metrics_path = next(i);
-    else if (arg == "--profile") options.profile_path = next(i);
-    else if (arg == "--serve-metrics") options.serve_port = std::stoi(next(i));
-    else if (arg == "--serve-ops") options.serve_ops_port = std::stoi(next(i));
-    else if (arg == "--serve-hold") options.serve_hold = std::stod(next(i));
-    else if (arg == "--stall-deadline") options.stall_deadline = std::stod(next(i));
-    else if (options.journal.parse_flag(arg, [&] { return next(i); })) {}
-    else if (arg == "--incidents-dir") options.incidents_dir = next(i);
-    else if (arg == "--detectors") options.detectors = next(i);
-    else if (arg == "--overcommit") options.overcommit = std::stod(next(i));
-    else if (arg == "--workloads") {
-      options.workloads.clear();
-      std::stringstream ss(next(i));
-      std::string token;
-      while (std::getline(ss, token, ',')) {
-        options.workloads.push_back(parse_workload(token));
+    // Numeric values parse whole-token: "20junk" or "-1" is an error.
+    auto real = [&] { return parse_csv_number(next(i), arg); };
+    auto count = [&] { return parse_csv_count(next(i), arg); };
+    auto port = [&] { return tools::port_flag(arg, next(i)); };
+    try {
+      if (arg == "--help" || arg == "-h") usage(0);
+      else if (arg == "--policy") options.policy = next(i);
+      else if (arg == "--alpha") options.alpha = real();
+      else if (arg == "--hosts") options.hosts = count();
+      else if (arg == "--fill") options.fill = true;
+      else if (arg == "--duration") options.duration = real();
+      else if (arg == "--window") options.window = real();
+      else if (arg == "--seed") options.seed = count();
+      else if (arg == "--no-actuators") options.actuators = false;
+      else if (arg == "--oracle") options.oracle = true;
+      else if (arg == "--memory") options.memory = next(i);
+      else if (arg == "--replay") options.replays.push_back(next(i));
+      else if (arg == "--sliced") options.sliced = true;
+      else if (arg == "--shards") options.shards = count();
+      else if (arg == "--synthetic") options.synthetic = next(i);
+      else if (arg == "--csv") options.csv = next(i);
+      else if (arg == "--record") options.record_path = next(i);
+      else if (arg == "--trace") options.trace_path = next(i);
+      else if (arg == "--metrics") options.metrics_path = next(i);
+      else if (arg == "--profile") options.profile_path = next(i);
+      else if (arg == "--serve-metrics") options.serve_port = port();
+      else if (arg == "--serve-ops") options.serve_ops_port = port();
+      else if (arg == "--serve-hold") options.serve_hold = real();
+      else if (arg == "--stall-deadline") options.stall_deadline = real();
+      else if (options.journal.parse_flag(arg, [&] { return next(i); })) {}
+      else if (arg == "--incidents-dir") options.incidents_dir = next(i);
+      else if (arg == "--detectors") options.detectors = next(i);
+      else if (arg == "--overcommit") options.overcommit = real();
+      else if (arg == "--workloads") {
+        options.workloads.clear();
+        std::stringstream ss(next(i));
+        std::string token;
+        while (std::getline(ss, token, ',')) {
+          options.workloads.push_back(parse_workload(token));
+        }
+      } else {
+        std::cerr << "unknown flag: " << arg << "\n";
+        usage(2);
       }
-    } else {
-      std::cerr << "unknown flag: " << arg << "\n";
+    } catch (const DomainError& e) {
+      std::cerr << e.what() << "\n";
       usage(2);
     }
   }
@@ -248,6 +258,10 @@ CliOptions parse(int argc, char** argv) {
                  "--policy\n";
     usage(2);
   }
+  if (options.fill && options.hosts == 0) {
+    std::cerr << "--fill needs a fixed pool: pass --hosts >= 1\n";
+    usage(2);
+  }
   if (options.overcommit != 1.0 && options.synthetic.empty()) {
     std::cerr << "--overcommit only applies to --synthetic scenarios\n";
     usage(2);
@@ -259,7 +273,14 @@ sim::SyntheticConfig parse_synthetic(const std::string& spec) {
   std::vector<std::uint64_t> values;
   std::stringstream ss(spec);
   std::string cell;
-  while (std::getline(ss, cell, ',')) values.push_back(std::stoull(cell));
+  try {
+    while (std::getline(ss, cell, ',')) {
+      values.push_back(parse_csv_count(cell, "--synthetic"));
+    }
+  } catch (const DomainError& e) {
+    std::cerr << e.what() << "\n";
+    usage(2);
+  }
   if (values.size() < 3 || values.size() > 4) {
     std::cerr << "--synthetic wants nodes,vms_per_node,tenants[,seed]\n";
     usage(2);
