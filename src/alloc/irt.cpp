@@ -115,6 +115,31 @@ void fill_contributions(std::span<const AllocationEntity> entities,
   }
 }
 
+/// `entities` itself when the pool covers every type's initial shares;
+/// otherwise a copy in `fitted` whose type-k shares are scaled by
+/// Omega_k / sum_i S_k(i) for each oversold type k.  Sums within rounding
+/// of the pool count as covered, so a pool computed as the same shares
+/// summed in another order never scales.
+std::span<const AllocationEntity> fit_shares_to_pool(
+    const ResourceVector& capacity,
+    std::span<const AllocationEntity> entities,
+    std::vector<AllocationEntity>& fitted) {
+  ResourceVector sold(capacity.size());
+  for (const AllocationEntity& e : entities) sold += e.initial_share;
+  bool oversold = false;
+  for (std::size_t k = 0; k < capacity.size(); ++k) {
+    oversold = oversold || !approx_le(sold[k], capacity[k], kEps);
+  }
+  if (!oversold) return entities;
+  fitted.assign(entities.begin(), entities.end());
+  for (std::size_t k = 0; k < capacity.size(); ++k) {
+    if (approx_le(sold[k], capacity[k], kEps)) continue;
+    const double scale = capacity[k] / sold[k];
+    for (AllocationEntity& e : fitted) e.initial_share[k] *= scale;
+  }
+  return fitted;
+}
+
 }  // namespace
 
 std::vector<double> IrtAllocator::total_contributions(
@@ -156,6 +181,12 @@ void IrtAllocator::allocate_into(const ResourceVector& capacity,
   }
 
   // rrf-hot-path: begin(irt.allocate)
+  // An oversold pool (Omega_k < sum S_k, e.g. a node whose sold shares
+  // exceed what its host can back) first scales every type-k initial
+  // share by Omega_k / sum S_k.  Algorithm 1 then runs unchanged on shares
+  // the pool can honour: the share ratios survive, and the prefix granted
+  // its full demand in lines 16-20 can no longer overrun the pool.
+  entities = fit_shares_to_pool(capacity, entities, ws.fitted);
   // Lines 1-8: initial shares, per-type contributions, total Lambda(i).
   result.contribution_lambda.resize(m);
   fill_contributions(entities, result.contribution_lambda);
@@ -379,8 +410,9 @@ void IrtAllocator::allocate_into(const ResourceVector& capacity,
           allocated += grant;
         }
       } else {
-        // Overcommitted pool (capacity below the suffix's initial shares):
-        // scale the suffix's shares down proportionally so the type fits.
+        // psi < 0: the shares already fit the pool (fit_shares_to_pool),
+        // so only the kEps slack of the satisfied prefix gets here.  Scale
+        // the suffix's shares down proportionally so the type fits.
         double suffix_share = 0.0;
         for (std::size_t t = v; t < m; ++t) {
           suffix_share += entities[order[t]].initial_share[k];

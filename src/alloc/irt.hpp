@@ -87,6 +87,8 @@ struct IrtWorkspace {
   std::vector<std::size_t> wmm_order;
   /// Remaining trade budget per entity (cap_gain_at_contribution only).
   std::vector<double> budget;
+  /// The entities with their shares scaled to fit an oversold pool.
+  std::vector<AllocationEntity> fitted;
 };
 
 class IrtAllocator final : public Allocator {

@@ -448,23 +448,16 @@ std::optional<std::string> slurp(const std::filesystem::path& path) {
   return std::move(os).str();
 }
 
-/// Records a problem when `key` is absent or fails `ok`; returns the
-/// field for further inspection (nullptr when missing).
-const json::Value* checked_field(const json::Value& object, const char* key,
-                                 bool (json::Value::*ok)() const,
-                                 const char* type_name,
-                                 std::vector<std::string>& problems) {
-  const json::Value* v = object.find(key);
-  if (v == nullptr) {
-    problems.push_back(std::string("manifest: missing field '") + key + "'");
-    return nullptr;
+/// Runs one manifest check through a json::Reader.  The reader throws on
+/// the first bad field; here that becomes one entry in `problems`, so
+/// `validate` reports every violation of a bundle at once.
+template <typename Check>
+void check_manifest(std::vector<std::string>& problems, Check check) {
+  try {
+    check();
+  } catch (const DomainError& e) {
+    problems.emplace_back(e.what());
   }
-  if (!(v->*ok)()) {
-    problems.push_back(std::string("manifest: field '") + key + "' is not " +
-                       type_name);
-    return nullptr;
-  }
-  return v;
 }
 
 }  // namespace
@@ -499,54 +492,41 @@ IncidentBundle IncidentBundle::load_dir(const std::string& dir) {
   }
 
   auto& problems = bundle.problems;
-  checked_field(bundle.manifest, "id", &json::Value::is_string, "a string",
-                problems);
-  const json::Value* state = checked_field(
-      bundle.manifest, "state", &json::Value::is_string, "a string", problems);
-  if (state != nullptr && state->as_string() != "open" &&
-      state->as_string() != "resolved") {
-    problems.push_back("manifest: state '" + state->as_string() +
-                       "' is neither 'open' nor 'resolved'");
-  }
-  const json::Value* severity =
-      checked_field(bundle.manifest, "severity", &json::Value::is_string,
-                    "a string", problems);
-  if (severity != nullptr) {
-    const std::string& s = severity->as_string();
-    if (s != "minor" && s != "major" && s != "critical") {
-      problems.push_back("manifest: unknown severity '" + s + "'");
+  const json::Reader r(bundle.manifest, "manifest");
+  check_manifest(problems, [&] { r.string("id"); });
+  check_manifest(problems, [&] {
+    const std::string& state = r.string("state");
+    if (state != "open" && state != "resolved") {
+      r.fail("state '" + state + "' is neither 'open' nor 'resolved'");
     }
-  }
-  checked_field(bundle.manifest, "opened_window", &json::Value::is_number,
-                "a number", problems);
-  checked_field(bundle.manifest, "firing_rounds", &json::Value::is_number,
-                "a number", problems);
-  checked_field(bundle.manifest, "detections", &json::Value::is_number,
-                "a number", problems);
-  checked_field(bundle.manifest, "kinds", &json::Value::is_array, "an array",
-                problems);
-  checked_field(bundle.manifest, "build", &json::Value::is_object, "an object",
-                problems);
-  checked_field(bundle.manifest, "metadata", &json::Value::is_object,
-                "an object", problems);
-  const json::Value* tenants =
-      checked_field(bundle.manifest, "tenants", &json::Value::is_array,
-                    "an array", problems);
-  if (tenants != nullptr) {
-    for (const json::Value& t : tenants->as_array()) {
-      if (!t.is_object() || t.find("tenant") == nullptr ||
-          !t.find("tenant")->is_string() || t.find("kinds") == nullptr ||
-          !t.find("kinds")->is_array()) {
-        problems.push_back("manifest: malformed tenant entry");
-        break;
-      }
+  });
+  check_manifest(problems, [&] {
+    const std::string& severity = r.string("severity");
+    if (severity != "minor" && severity != "major" &&
+        severity != "critical") {
+      r.fail("unknown severity '" + severity + "'");
     }
+  });
+  for (const char* key : {"opened_window", "firing_rounds", "detections"}) {
+    check_manifest(problems, [&] { r.size(key); });
   }
+  check_manifest(problems, [&] { r.array("kinds"); });
+  for (const char* key : {"build", "metadata"}) {
+    check_manifest(problems, [&] { r.object(key); });
+  }
+  check_manifest(problems, [&] {
+    for (const json::Value& t : r.array("tenants")) {
+      const json::Reader tenant(t, "manifest", "tenant entry");
+      tenant.string("tenant");
+      tenant.array("kinds");
+    }
+  });
 
-  const json::Value* files = checked_field(
-      bundle.manifest, "files", &json::Value::is_object, "an object", problems);
+  const json::Object* files = nullptr;
+  check_manifest(problems,
+                 [&] { files = &r.object("files").value().as_object(); });
   if (files == nullptr) return bundle;
-  for (const auto& [logical, filename] : files->as_object()) {
+  for (const auto& [logical, filename] : *files) {
     if (!filename.is_string()) {
       problems.push_back("manifest: files." + logical + " is not a string");
       continue;

@@ -127,8 +127,10 @@ class TelemetryJournal {
   /// the only steady-state producer, but the writer is mutex-guarded so
   /// a shutdown path finishing from another thread is safe — and the
   /// "journal.writer" site shows up in the mutex contention metrics if
-  /// anything ever does contend.
-  void record_round(const RoundSummary& summary);
+  /// anything ever does contend.  A round arrives serialized
+  /// (`round_summary_to_json(...).dump()`): the engine serializes each
+  /// round once for the journal and the ops hub.
+  void record_round(const std::string& line);
   void record_incident(const JournalIncident& incident);
 
   /// Writes the end record and closes the file.  Idempotent; called by

@@ -69,8 +69,7 @@ OpsHub::OpsHub(Config config) : config_(config) {
   if (config_.ring_capacity == 0) config_.ring_capacity = 1;
 }
 
-void OpsHub::publish_round(const RoundSummary& summary) {
-  std::string line = round_summary_to_json(summary).dump();
+void OpsHub::publish_round(std::string line) {
   {
     MutexLock lock(mu_);
     lines_.push_back(std::move(line));

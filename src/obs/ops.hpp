@@ -6,9 +6,10 @@
 // per-tenant dominant-share / demand ratios, the tenant-funded
 // contribution and gain flows, the window's Jain index over share
 // ratios and per-phase wall timings.  The engine emits one per window
-// (only when an OpsHub or TelemetryJournal is attached, so the disabled
-// path stays allocation-free) and the same JSON object flows to three
-// consumers:
+// (only when an OpsHub, TelemetryJournal or incident engine is attached,
+// so the disabled path stays allocation-free).  When a hub or journal is
+// attached it serializes the summary once, and that one JSON line flows
+// to three consumers:
 //  * the `/rounds` streaming endpoint (newline-delimited JSON over
 //    chunked transfer, served by obs::ExpositionServer);
 //  * the durable telemetry journal (obs/journal.hpp);
@@ -91,9 +92,10 @@ class OpsHub {
   OpsHub(const OpsHub&) = delete;
   OpsHub& operator=(const OpsHub&) = delete;
 
-  /// Serializes and appends one round line, wakes subscribers and stamps
-  /// the watchdog clock.  Called from the engine thread.
-  void publish_round(const RoundSummary& summary);
+  /// Appends one serialized round line (`round_summary_to_json(...)
+  /// .dump()`), wakes subscribers and stamps the watchdog clock.  Called
+  /// from the engine thread.
+  void publish_round(std::string line);
 
   std::uint64_t rounds_published() const;
   /// Sequence number of the oldest line still in the ring (== next_seq()

@@ -4,9 +4,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
+#include "common/error.hpp"
 #include "common/json.hpp"
 
 namespace rrf::obs::top {
@@ -45,6 +48,23 @@ bool dechunk(std::string* raw, std::string* body) {
   }
 }
 
+namespace {
+
+/// A non-negative integral member of `object`, or nullopt when it is
+/// absent or malformed (negative, fractional, mistyped): rrf_top shows
+/// only counts it can vouch for.
+std::optional<std::size_t> count_field(const json::Value& object,
+                                       std::string_view key) {
+  try {
+    const json::Reader r(object, "rrf_top");
+    if (r.has(key)) return r.size(key);
+  } catch (const DomainError&) {
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 void Feed::push_line(const std::string& line) {
   json::Value value;
   try {
@@ -55,11 +75,9 @@ void Feed::push_line(const std::string& line) {
   const json::Value* tag = value.find("t");
   if (tag == nullptr || !tag->is_string()) return;
   if (tag->as_string() == "gap") {
-    const json::Value* dropped = value.find("dropped");
+    const std::optional<std::size_t> dropped = count_field(value, "dropped");
     MutexLock lock(mu);
-    if (dropped != nullptr && dropped->is_number()) {
-      gap_dropped += static_cast<std::uint64_t>(dropped->as_number());
-    }
+    if (dropped.has_value()) gap_dropped += *dropped;
     return;
   }
   if (tag->as_string() != "round") return;
@@ -112,21 +130,16 @@ std::string render_incidents(const std::string& body) {
     return {};
   }
   const json::Value* incidents = doc.find("incidents");
-  const json::Value* open = doc.find("open");
-  const json::Value* total = doc.find("total");
   if (incidents == nullptr || !incidents->is_array() ||
       incidents->as_array().empty()) {
     return {};
   }
-  std::string out = "incidents: ";
-  out += open != nullptr && open->is_number()
-             ? std::to_string(static_cast<std::uint64_t>(open->as_number()))
-             : "?";
-  out += " open, ";
-  out += total != nullptr && total->is_number()
-             ? std::to_string(static_cast<std::uint64_t>(total->as_number()))
-             : "?";
-  out += " total";
+  const auto count_text = [&doc](std::string_view key) {
+    const std::optional<std::size_t> count = count_field(doc, key);
+    return count.has_value() ? std::to_string(*count) : std::string("?");
+  };
+  std::string out = "incidents: " + count_text("open") + " open, " +
+                    count_text("total") + " total";
   // Open incidents first, newest first within each group.
   std::vector<const json::Value*> order;
   order.reserve(incidents->as_array().size());
@@ -152,7 +165,6 @@ std::string render_incidents(const std::string& body) {
     const json::Value* id = entry->find("id");
     const json::Value* state = entry->find("state");
     const json::Value* severity = entry->find("severity");
-    const json::Value* window = entry->find("opened_window");
     const json::Value* kinds = entry->find("kinds");
     const json::Value* tenants = entry->find("tenants");
     out += "\n  ";
@@ -163,9 +175,8 @@ std::string render_incidents(const std::string& body) {
     if (severity != nullptr && severity->is_string()) {
       out += " [" + severity->as_string() + "]";
     }
-    if (window != nullptr && window->is_number()) {
-      out += " w" + std::to_string(
-                        static_cast<std::uint64_t>(window->as_number()));
+    if (const auto window = count_field(*entry, "opened_window")) {
+      out += " w" + std::to_string(*window);
     }
     if (kinds != nullptr && kinds->is_array() && !kinds->as_array().empty()) {
       out += " ";

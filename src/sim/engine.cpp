@@ -245,13 +245,6 @@ void allocate_entitlements(PolicyKind policy, NodeState& node,
                            std::vector<double>* tenant_lambda = nullptr) {
   const std::size_t n = node.slots.size();
 
-  // Refresh per-round demands in the cached flat entity list.
-  auto refresh_flat = [&] {
-    for (std::size_t i = 0; i < n; ++i) {
-      node.flat_entities[i].demand = node.demand_shares[i];
-    }
-  };
-
   // Refresh per-round demands (and the rrf-lt bank) in the cached groups.
   auto refresh_groups = [&] {
     for (std::size_t i = 0; i < n; ++i) {
@@ -272,6 +265,14 @@ void allocate_entitlements(PolicyKind policy, NodeState& node,
     scratch.vm_grants.resize(n, ResourceVector(kDefaultResourceCount));
   }
   const std::span<ResourceVector> grants(scratch.vm_grants.data(), n);
+  // Flat policies: one allocator call over every VM of the node.
+  auto allocate_flat = [&](const alloc::Allocator& allocator) {
+    for (std::size_t i = 0; i < n; ++i) {
+      node.flat_entities[i].demand = node.demand_shares[i];
+    }
+    node.entitlement_shares =
+        allocator.allocate(node.pool, node.flat_entities).allocations;
+  };
 
   switch (policy) {
     case PolicyKind::kTshirt: {
@@ -281,24 +282,11 @@ void allocate_entitlements(PolicyKind policy, NodeState& node,
       return;
     }
     case PolicyKind::kWmmf:
-      refresh_flat();
-      node.entitlement_shares =
-          alloc::WmmfAllocator{}.allocate(node.pool, node.flat_entities)
-              .allocations;
-      return;
+      return allocate_flat(alloc::WmmfAllocator{});
     case PolicyKind::kDrf:
-      refresh_flat();
-      node.entitlement_shares =
-          alloc::DrfAllocator{}.allocate(node.pool, node.flat_entities)
-              .allocations;
-      return;
+      return allocate_flat(alloc::DrfAllocator{});
     case PolicyKind::kDrfSeq:
-      refresh_flat();
-      node.entitlement_shares =
-          alloc::SequentialDrfAllocator{}
-              .allocate(node.pool, node.flat_entities)
-              .allocations;
-      return;
+      return allocate_flat(alloc::SequentialDrfAllocator{});
     // rrf-hot-path: begin(engine.hierarchical)
     case PolicyKind::kIwaOnly: {
       // Tenant entitlement is static (its own shares); IWA moves shares
@@ -359,822 +347,825 @@ obs::FlightNode build_flight_node(std::size_t h, const NodeState& node,
   const std::size_t n = node.slots.size();
   out.slots.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    obs::FlightSlot slot;
-    slot.tenant = node.slots[i].tenant;
-    slot.vm = node.slots[i].vm;
-    slot.share = node.slots[i].initial_share;
-    slot.demand = node.actual_demand[i];
-    slot.forecast = node.demand_shares[i];
-    slot.entitlement = node.entitlement_shares[i];
+    obs::FlightSlot& slot = out.slots.emplace_back(obs::FlightSlot{
+        node.slots[i].tenant, node.slots[i].vm, node.slots[i].initial_share,
+        node.actual_demand[i], node.demand_shares[i],
+        node.entitlement_shares[i]});
     if (use_actuators) {
       slot.credit_weight = node.hv_node->scheduler().weight(i);
       slot.credit_cap = node.hv_node->scheduler().cap(i);
       slot.mem_target = node.hv_node->memory().target(i);
     }
-    out.slots.push_back(std::move(slot));
   }
+  const auto tenant_of = [&](std::size_t g) {
+    return g < node.tenant_ids.size() ? node.tenant_ids[g] : g;
+  };
   if (prov.has_irt) {
     out.has_irt = true;
     out.irt_types = prov.irt_types;
     out.irt.reserve(prov.irt_lambda.size());
     for (std::size_t g = 0; g < prov.irt_lambda.size(); ++g) {
-      obs::FlightIrtTenant t;
-      t.tenant = g < node.tenant_ids.size() ? node.tenant_ids[g] : g;
-      t.lambda = prov.irt_lambda[g];
-      t.share = prov.irt_share[g];
-      t.demand = prov.irt_demand[g];
-      t.grant = prov.irt_grant[g];
-      out.irt.push_back(std::move(t));
+      out.irt.push_back(obs::FlightIrtTenant{
+          tenant_of(g), prov.irt_lambda[g], prov.irt_share[g],
+          prov.irt_demand[g], prov.irt_grant[g]});
     }
   }
   out.iwa.reserve(prov.iwa.size());
   for (std::size_t g = 0; g < prov.iwa.size(); ++g) {
-    obs::FlightIwa w;
-    w.tenant = g < node.tenant_ids.size() ? node.tenant_ids[g] : g;
-    w.vm_grant = prov.iwa[g].vm_grant;
-    w.headroom = prov.iwa[g].headroom;
-    out.iwa.push_back(std::move(w));
+    out.iwa.push_back(obs::FlightIwa{tenant_of(g), prov.iwa[g].vm_grant,
+                                     prov.iwa[g].headroom});
   }
   return out;
 }
+
+/// One tenant's sums in the window's canonical exchange.
+struct TenantExchange {
+  /// Beta LEDGER position: it only moves when one tenant funds another.
+  ResourceVector granted = ResourceVector(kDefaultResourceCount);
+  /// Entitlements actually handed down.  On an oversold node every slot is
+  /// cut proportionally, the ledger stays flat and only this sum shows the
+  /// starvation.
+  ResourceVector entitled = ResourceVector(kDefaultResourceCount);
+  ResourceVector demand = ResourceVector(kDefaultResourceCount);
+  double score_weighted{0.0};
+  double score_weight{0.0};
+};
+
+/// The window's per-tenant round roll-up, indexed by tenant id: built once
+/// after the exchange and read by the tenant metrics, the rrf-lt bank and
+/// every round sink.
+struct RoundRollup {
+  std::vector<double> position;     ///< ledger position (shares)
+  std::vector<double> demand;       ///< demanded shares
+  std::vector<double> entitled;     ///< entitlements handed down (shares)
+  std::vector<double> score;        ///< demand-weighted perf score
+  /// Tenant-funded ledger flows (shares this tenant's surplus handed to /
+  /// took from other tenants) plus IRT's declared contribution Lambda:
+  /// the fairness auditor's reciprocity inputs.
+  std::vector<double> contributed;
+  std::vector<double> gained;
+  std::vector<double> lambda;
+};
+
+/// One engine run: the state the stages of run_simulation share.  Each
+/// public member function is one stage of the paper's per-window loop
+/// (Sections V-VI); run_simulation drives them in order.
+class EngineRun {
+ public:
+  /// Setup: validates the config, places every VM slot on its node, sizes
+  /// the round buffers and attaches the sinks.
+  EngineRun(const Scenario& scenario, const EngineConfig& config)
+      : scenario_(scenario),
+        config_(config),
+        cl_(scenario.cluster),
+        pricing_(cl_.pricing()),
+        tenant_count_(cl_.tenants().size()),
+        host_count_(cl_.hosts().size()),
+        perf_(config.perf) {
+    RRF_REQUIRE(config.window > 0.0 && config.duration >= config.window,
+                "bad window/duration");
+    RRF_REQUIRE(
+        !config.rebalance.enabled || config.rebalance.every_windows > 0,
+        "rebalancing needs every_windows > 0");
+    // Profiler root covering everything before the first window (node/HV
+    // construction, auditor setup); closed before the window loop so the
+    // loop's own roots are not nested under it.
+    obs::ProfileScope setup_profile("engine.setup");
+    windows_ = static_cast<std::size_t>(config.duration / config.window);
+
+    const std::set<std::pair<std::size_t, std::size_t>> unplaced(
+        scenario.unplaced.begin(), scenario.unplaced.end());
+    nodes_.resize(host_count_);
+    for (std::size_t t = 0; t < tenant_count_; ++t) {
+      const auto& vms = cl_.tenants()[t].vms;
+      for (std::size_t j = 0; j < vms.size(); ++j) {
+        if (unplaced.contains({t, j})) continue;
+        nodes_[scenario.host_of[t][j]].slots.push_back(
+            VmSlot{t, j, cl_.vm_shares(t, j),
+                   DemandPredictor(kDefaultResourceCount, config.predictor),
+                   ResourceVector(kDefaultResourceCount), 0});
+      }
+    }
+    for (std::size_t h = 0; h < host_count_; ++h) reset_node(h);
+
+    result_.policy = to_string(config.policy);
+    result_.window = config.window;
+    result_.tenants.reserve(tenant_count_);
+    std::vector<std::string> names;
+    names.reserve(tenant_count_);
+    tenant_share_sum_.resize(tenant_count_);
+    for (std::size_t t = 0; t < tenant_count_; ++t) {
+      names.push_back(cl_.tenants()[t].name);
+      result_.tenants.emplace_back(names.back(), cl_.tenant_shares(t));
+      tenant_share_sum_[t] = cl_.tenant_shares(t).sum();
+    }
+    exchange_.resize(tenant_count_);
+    for (std::vector<double>* v :
+         {&rollup_.position, &rollup_.demand, &rollup_.entitled,
+          &rollup_.score, &rollup_.contributed, &rollup_.gained,
+          &rollup_.lambda}) {
+      v->assign(tenant_count_, 0.0);
+    }
+    node_pressure_.assign(host_count_, 0.0);
+
+    // Per-VM demands of the round, flat across tenants: tenant t's VMs sit
+    // at demands_[demand_offset_[t] + vm].  Sized once, refilled in place.
+    RRF_REQUIRE(scenario.workloads.size() == tenant_count_,
+                "one workload per tenant");
+    demand_offset_.assign(tenant_count_ + 1, 0);
+    for (std::size_t t = 0; t < tenant_count_; ++t) {
+      const std::size_t vms = scenario.workloads[t]->vm_split().size();
+      RRF_REQUIRE(vms >= cl_.tenants()[t].vms.size(),
+                  "workload has fewer VMs than its tenant");
+      demand_offset_[t + 1] = demand_offset_[t] + vms;
+    }
+    demands_.assign(demand_offset_[tenant_count_],
+                    ResourceVector(kDefaultResourceCount));
+
+    // One pool task per shard; each shard walks its contiguous node range
+    // serially.  `shards == 0` auto-sizes to a small multiple of the pool
+    // width (capped at the host count) so chunk stealing can smooth load
+    // imbalance between shards without drowning in dispatch overhead.
+    if (config.parallel_nodes && host_count_ > 1) {
+      const std::size_t auto_shards = std::min(
+          host_count_,
+          std::max<std::size_t>(1, global_pool().thread_count()) * 4);
+      shard_executor_ = std::make_unique<ShardExecutor>(ShardPlan::build(
+          host_count_, config.shards > 0 ? config.shards : auto_shards));
+    }
+    shard_scratch_.resize(
+        shard_executor_ ? shard_executor_->plan().shard_count() : 1);
+
+    // rrf-lt: per-tenant contribution bank (EMA of per-window net giving).
+    if (config.policy == PolicyKind::kRrfLt) {
+      RRF_REQUIRE(config.ltrf_alpha > 0.0 && config.ltrf_alpha <= 1.0,
+                  "ltrf_alpha must be in (0, 1]");
+      lt_balance_.assign(tenant_count_, 0.0);
+    }
+    attach_sinks(std::move(names));
+  }
+
+  std::size_t windows() const { return windows_; }
+
+  /// Epoch-level live migration (load balancing): every `every_windows`
+  /// windows the planner moves VMs off hot hosts; the affected nodes are
+  /// rebuilt from their new slot lists.
+  void rebalance_epoch(std::size_t w) {
+    if (flight_on_) rebalance_prov_.clear();
+    if (!config_.rebalance.enabled || w == 0 ||
+        w % config_.rebalance.every_windows != 0) {
+      return;
+    }
+    obs::ProfileScope rebalance_profile("window.rebalance");
+    std::vector<ResourceVector> capacities;
+    capacities.reserve(host_count_);
+    for (std::size_t h = 0; h < host_count_; ++h) {
+      capacities.push_back(cl_.hosts()[h].capacity);
+    }
+    std::vector<cluster::VmLoad> loads;
+    std::vector<std::pair<std::size_t, std::size_t>> slot_ref;
+    for (std::size_t h = 0; h < host_count_; ++h) {
+      for (std::size_t i = 0; i < nodes_[h].slots.size(); ++i) {
+        const VmSlot& slot = nodes_[h].slots[i];
+        loads.push_back(cluster::VmLoad{
+            slot.tenant, slot.vm, h, slot.demand_ema,
+            cl_.tenants()[slot.tenant].vms[slot.vm].provisioned});
+        slot_ref.emplace_back(h, i);
+      }
+    }
+    cluster::RebalancePlan plan;
+    {
+      std::optional<obs::ProvenanceScope> scope;
+      if (flight_on_) scope.emplace(&rebalance_prov_);
+      plan = cluster::plan_rebalance(capacities, loads,
+                                     config_.rebalance.options);
+    }
+    if (plan.empty()) return;
+    std::vector<std::size_t> destination(loads.size());
+    for (std::size_t r = 0; r < loads.size(); ++r) {
+      destination[r] = loads[r].host;
+    }
+    for (const cluster::Migration& m : plan.migrations) {
+      destination[m.vm_index] = m.to;
+    }
+    std::vector<std::vector<VmSlot>> new_slots(host_count_);
+    for (std::size_t r = 0; r < loads.size(); ++r) {
+      const auto [h, i] = slot_ref[r];
+      VmSlot slot = std::move(nodes_[h].slots[i]);
+      if (destination[r] != h) {
+        slot.migration_penalty = config_.rebalance.penalty_windows;
+      }
+      new_slots[destination[r]].push_back(std::move(slot));
+    }
+    for (std::size_t h = 0; h < host_count_; ++h) {
+      nodes_[h].slots = std::move(new_slots[h]);
+      // Rebuilding resets the memory actuators to boot levels; the next
+      // apply_shares() retargets them within a window or two -- the same
+      // settling a real live migration incurs.
+      reset_node(h);
+    }
+    result_.migrations += plan.migrations.size();
+    result_.migrated_gb += plan.total_cost_gb;
+    if (obs::tracing_enabled()) {
+      for (const cluster::Migration& m : plan.migrations) {
+        obs::TraceEvent e;
+        e.kind = obs::EventKind::kMigration;
+        e.node = static_cast<std::int32_t>(m.from);
+        e.tenant = static_cast<std::int32_t>(loads[m.vm_index].tenant);
+        e.vm = static_cast<std::int32_t>(loads[m.vm_index].vm);
+        e.window = static_cast<std::int32_t>(w);
+        e.value = m.cost_gb;
+        e.value2 = static_cast<double>(m.to);
+        obs::tracer().record(e);
+      }
+    }
+    if (obs::metrics_enabled()) {
+      obs::metrics().counter("engine.migrations").add(plan.migrations.size());
+    }
+  }
+
+  /// Samples every tenant's per-VM demands once (shared by all nodes).
+  void sample_demands(Seconds now) {
+    obs::ProfileScope demands_profile("window.demands");
+    // rrf-hot-path: begin(engine.demands)
+    for (std::size_t t = 0; t < tenant_count_; ++t) {
+      scenario_.workloads[t]->vm_demands_into(
+          now, std::span<ResourceVector>(demands_).subspan(
+                   demand_offset_[t],
+                   demand_offset_[t + 1] - demand_offset_[t]));
+    }
+    // rrf-hot-path: end(engine.demands)
+  }
+
+  /// The per-node round on every node: serially, or one pool task per
+  /// shard.  In the serial path the four phase frames nest under
+  /// `window.dispatch`; in the parallel path they root in the worker
+  /// threads' own arenas.
+  void node_round(std::size_t w) {
+    obs::ProfileScope dispatch_profile("window.dispatch");
+    if (shard_executor_) {
+      shard_executor_->run_round([this, w](std::size_t h) { run_node(h, w); });
+    } else {
+      for (std::size_t h = 0; h < host_count_; ++h) run_node(h, w);
+    }
+  }
+
+  /// Global exchange: canonical serial merge in ascending node order.
+  /// Every node published its exchange inputs (node_lambda, beta_shares,
+  /// slot_{contributed,gained,demand_shares,score}) during its settle
+  /// phase; folding them here, single-threaded and always in node order,
+  /// makes the tenant ledgers bit-identical for any shard or thread count
+  /// -- and identical to the historical serial path, whose lock
+  /// acquisition order was node order too.
+  void exchange() {
+    obs::ProfileScope exchange_profile("window.exchange");
+    // rrf-hot-path: begin(engine.merge)
+    std::fill(exchange_.begin(), exchange_.end(), TenantExchange{});
+    for (std::vector<double>* v :
+         {&rollup_.contributed, &rollup_.gained, &rollup_.lambda}) {
+      std::fill(v->begin(), v->end(), 0.0);
+    }
+    for (const NodeState& node : nodes_) {
+      const std::size_t n = node.slots.size();
+      if (n == 0) continue;
+      for (std::size_t t = 0; t < tenant_count_; ++t) {
+        rollup_.lambda[t] += node.node_lambda[t];
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t t = node.slots[i].tenant;
+        TenantExchange& x = exchange_[t];
+        x.granted += node.beta_shares[i];
+        x.entitled += node.entitlement_shares[i];
+        rollup_.contributed[t] += node.slot_contributed[i];
+        rollup_.gained[t] += node.slot_gained[i];
+        const ResourceVector& d_shares = node.slot_demand_shares[i];
+        x.demand += d_shares;
+        const double weight = std::max(1e-9, d_shares.sum());
+        x.score_weighted += node.slot_score[i] * weight;
+        x.score_weight += weight;
+        used_total_ += node.realized[i] * config_.window;
+      }
+    }
+    // The roll-up: one per-tenant record of the settled window.
+    for (std::size_t t = 0; t < tenant_count_; ++t) {
+      const TenantExchange& x = exchange_[t];
+      rollup_.position[t] = x.granted.sum();
+      rollup_.demand[t] = x.demand.sum();
+      rollup_.entitled[t] = x.entitled.sum();
+      rollup_.score[t] =
+          x.score_weight > 0.0 ? x.score_weighted / x.score_weight : 1.0;
+    }
+    // rrf-hot-path: end(engine.merge)
+  }
+
+  /// Window tail: tenant metrics, the rrf-lt bank and every round sink,
+  /// all fed from the roll-up.
+  void round_tail(std::size_t w, Seconds now) {
+    obs::ProfileScope finalize_profile("window.finalize");
+    if (flight_on_) record_flight_round(w, now);
+
+    for (std::size_t t = 0; t < tenant_count_; ++t) {
+      result_.tenants[t].record_window(rollup_.position[t],
+                                       rollup_.demand[t], rollup_.score[t]);
+    }
+    if (config_.policy == PolicyKind::kRrfLt) {
+      // Net giving this window = initial shares minus the ledger position
+      // (positive when other tenants consumed this tenant's surplus).
+      for (std::size_t t = 0; t < tenant_count_; ++t) {
+        const double net = tenant_share_sum_[t] - rollup_.position[t];
+        lt_balance_[t] += config_.ltrf_alpha * (net - lt_balance_[t]);
+      }
+    }
+    if (auditor_) {
+      obs::AuditRound round;
+      round.window = w;
+      round.position = rollup_.position;
+      round.contributed = rollup_.contributed;
+      round.gained = rollup_.gained;
+      round.contribution_lambda = rollup_.lambda;
+      round.node_pressure = node_pressure_;
+      auditor_->observe_round(round);
+    }
+    if (config_.ops != nullptr || config_.journal != nullptr ||
+        config_.incidents != nullptr) {
+      publish_summary(w, now);
+    }
+    if (config_.recorder != nullptr) {
+      for (std::size_t t = 0; t < tenant_count_; ++t) {
+        const double initial = tenant_share_sum_[t];
+        config_.recorder->record(w, now, t, rollup_.demand[t] / initial,
+                                 rollup_.position[t] / initial,
+                                 rollup_.score[t]);
+      }
+    }
+    if (config_.observer) {
+      WindowSnapshot snapshot;
+      snapshot.window = w;
+      snapshot.time = now;
+      snapshot.tenant_position = rollup_.position;
+      snapshot.tenant_demand = rollup_.demand;
+      snapshot.tenant_score = rollup_.score;
+      config_.observer(snapshot);
+    }
+  }
+
+  /// Folds the per-node counters into the result and closes the sinks.
+  SimResult finish() {
+    for (const auto& node : nodes_) {
+      for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
+        result_.phase_seconds[i] += node.phase_seconds[i];
+      }
+      result_.alloc_invocations += node.alloc_invocations;
+    }
+    result_.alloc_seconds_total = result_.phase_total(obs::Phase::kAllocate);
+    if (shard_executor_) {
+      // Fold in what the executor can't see: how many VM slots each
+      // shard's nodes ended the run hosting (the imbalance denominator).
+      for (ShardStats& stats : shard_executor_->stats()) {
+        const ShardRange& range = shard_executor_->plan().range(stats.shard);
+        stats.slots = 0;
+        for (std::size_t h = range.begin; h < range.end; ++h) {
+          stats.slots += nodes_[h].slots.size();
+        }
+      }
+      shard_executor_->publish_metrics();
+      result_.shards = shard_executor_->stats();
+    }
+    if (config_.incidents != nullptr) {
+      config_.incidents->finalize();
+      relay_incidents();
+      // The providers capture shard state local to this run; never leave
+      // them dangling on the caller-owned manager.
+      config_.incidents->clear_providers();
+    }
+    if (obs::metrics_enabled()) {
+      obs::metrics().counter("engine.windows").add(windows_);
+      obs::metrics().counter("engine.alloc_rounds")
+          .add(result_.alloc_invocations);
+    }
+    const double horizon = static_cast<double>(windows_) * config_.window;
+    const ResourceVector capacity_total = cl_.total_capacity();
+    for (std::size_t k = 0; k < kDefaultResourceCount; ++k) {
+      result_.mean_utilization[k] =
+          used_total_[k] / (capacity_total[k] * horizon);
+    }
+    return std::move(result_);
+  }
+
+ private:
+  /// (Re)creates node h's hypervisor facade and allocation scaffolding
+  /// from its current slot list (initial placement, live migration).
+  void reset_node(std::size_t h) {
+    NodeState& node = nodes_[h];
+    hv::HypervisorNode::Config hv_config;
+    hv_config.capacity = cl_.hosts()[h].capacity;
+    hv_config.pricing = pricing_;
+    hv_config.memory_backend = config_.memory_backend;
+    hv_config.balloon_rate_gb_s = config_.balloon_rate_gb_s;
+    hv_config.use_sliced_scheduler = config_.use_sliced_scheduler;
+    node.hv_node = std::make_unique<hv::HypervisorNode>(hv_config);
+    for (const VmSlot& slot : node.slots) {
+      const auto& vm = cl_.tenants()[slot.tenant].vms[slot.vm];
+      node.hv_node->add_vm(vm.vcpus, vm.provisioned, vm.max_mem_gb);
+    }
+    refresh_alloc_cache(node, cl_.hosts()[h].capacity, pricing_,
+                        tenant_count_);
+  }
+
+  /// Fairness auditor, time-series recorder, incident metadata and the
+  /// flight recorder's per-node capture buffers.
+  void attach_sinks(std::vector<std::string> names) {
+    if (config_.audit.enabled && obs::metrics_enabled()) {
+      auditor_ = std::make_unique<obs::FairnessAuditor>(
+          config_.audit, names, tenant_share_sum_);
+    }
+    if (config_.recorder != nullptr) {
+      config_.recorder->clear();
+      config_.recorder->set_tenants(std::move(names));
+    }
+    if (config_.incidents != nullptr) {
+      obs::IncidentManager& incidents = *config_.incidents;
+      incidents.set_metadata("policy", to_string(config_.policy));
+      incidents.set_metadata("windows", std::to_string(windows_));
+      incidents.set_metadata("window_seconds",
+                             std::to_string(config_.window));
+      incidents.set_metadata("hosts", std::to_string(host_count_));
+      incidents.set_metadata("tenants", std::to_string(tenant_count_));
+      if (shard_executor_) {
+        ShardExecutor* exec = shard_executor_.get();
+        incidents.set_extra_provider("shards.json", [exec]() {
+          json::Object doc;
+          doc.emplace_back("schema", "rrf-shards");
+          doc.emplace_back("version", 1);
+          json::Array entries;
+          for (const ShardStats& s : exec->stats()) {
+            const ShardRange& range = exec->plan().range(s.shard);
+            json::Object so;
+            so.emplace_back("shard", s.shard);
+            so.emplace_back("nodes", range.end - range.begin);
+            so.emplace_back("rounds", s.rounds);
+            so.emplace_back("busy_seconds", s.busy_seconds);
+            entries.emplace_back(std::move(so));
+          }
+          doc.emplace_back("shards", std::move(entries));
+          return json::Value(std::move(doc)).dump();
+        });
+      }
+    }
+    // Each capture buffer is filled by the one worker thread that owns the
+    // node this window, so no lock is needed.  Everything stays empty (and
+    // the hooks reduce to a thread-local pointer load) when no recorder is
+    // attached.
+    flight_on_ = config_.flight != nullptr;
+    if (flight_on_) {
+      node_prov_.resize(host_count_);
+      flight_nodes_.resize(host_count_);
+    }
+  }
+
+  /// Predict, allocate, actuate and settle one node.
+  void run_node(std::size_t h, std::size_t w) {
+    NodeState& node = nodes_[h];
+    const std::size_t n = node.slots.size();
+    if (n == 0) {
+      node_pressure_[h] = 0.0;
+      return;
+    }
+    const auto node_id = static_cast<std::int32_t>(h);
+    const auto window_id = static_cast<std::int32_t>(w);
+    const auto trace_edge = [&](obs::EventKind kind) {
+      if (!obs::tracing_enabled()) return;
+      obs::TraceEvent e;
+      e.kind = kind;
+      e.node = node_id;
+      e.window = window_id;
+      e.value = static_cast<double>(n);
+      obs::tracer().record(e);
+    };
+    trace_edge(obs::EventKind::kAllocRoundBegin);
+    const auto timed = [&](obs::Phase phase, const auto& stage) {
+      obs::PhaseScope scope(phase, node_id, window_id,
+                            &node.phase_accum(phase));
+      stage();
+    };
+    timed(obs::Phase::kPredict, [&] { predict(node); });
+    timed(obs::Phase::kAllocate, [&] { allocate(h, node); });
+    ++node.alloc_invocations;
+    timed(obs::Phase::kActuate, [&] { actuate(node); });
+    timed(obs::Phase::kSettle, [&] { settle(h, node); });
+    if (flight_on_) {
+      flight_nodes_[h] =
+          build_flight_node(h, node, config_.use_actuators, node_prov_[h]);
+    }
+    trace_edge(obs::EventKind::kAllocRoundEnd);
+  }
+
+  /// Predict: refreshes the slots' demand forecasts for the round.
+  void predict(NodeState& node) {
+    // rrf-hot-path: begin(engine.predict)
+    for (std::size_t i = 0; i < node.slots.size(); ++i) {
+      const VmSlot& slot = node.slots[i];
+      node.actual_demand[i] = demands_[demand_offset_[slot.tenant] + slot.vm];
+      ResourceVector forecast = node.actual_demand[i];
+      if (config_.use_predictor) {
+        forecast = slot.predictor.observations() == 0
+                       ? cl_.tenants()[slot.tenant].vms[slot.vm].provisioned
+                       : slot.predictor.predict();
+      }
+      node.demand_shares[i] = pricing_.shares_for(forecast);
+    }
+    // rrf-hot-path: end(engine.predict)
+  }
+
+  /// Allocate: the sharing policy arbitrates the pool the tenants
+  /// collectively bought on this node (node.pool); physical head-room
+  /// beyond it goes to the work-conserving surplus pass.
+  void allocate(std::size_t h, NodeState& node) {
+    const std::size_t n = node.slots.size();
+    const ResourceVector& pool = node.pool;
+    std::fill(node.node_lambda.begin(), node.node_lambda.end(), 0.0);
+    {
+      std::optional<obs::ProvenanceScope> prov_scope;
+      if (flight_on_) prov_scope.emplace(&node_prov_[h]);
+      ShardScratch& scratch =
+          shard_executor_
+              ? shard_scratch_[shard_executor_->plan().shard_of(h)]
+              : shard_scratch_.front();
+      allocate_entitlements(config_.policy, node, scratch, lt_balance_,
+                            &node.node_lambda);
+    }
+    if (config_.policy != PolicyKind::kTshirt) {
+      // rrf-hot-path: begin(engine.surplus)
+      // Work-conserving surplus pass: physical capacity *nobody paid for*
+      // flows to VMs with residual demand in proportion to their shares.
+      // Capacity the policy deliberately withheld inside the sold pool
+      // (e.g. RRF denying free riders) stays idle -- the entitlement caps
+      // enforce the policy's decision, exactly like the paper's
+      // non-work-conserving credit caps.
+      for (std::size_t k = 0; k < kDefaultResourceCount; ++k) {
+        for (std::size_t i = 0; i < n; ++i) {
+          node.residual[i] = std::max(
+              0.0, node.demand_shares[i][k] - node.entitlement_shares[i][k]);
+          node.weights[i] = node.slots[i].initial_share[k];
+        }
+        const double surplus = node.capacity_shares[k] - pool[k];
+        if (surplus <= 0.0) continue;
+        alloc::weighted_max_min_into(surplus, node.residual, node.weights,
+                                     node.surplus_extra, node.wmm_order);
+        for (std::size_t i = 0; i < n; ++i) {
+          node.entitlement_shares[i][k] += node.surplus_extra[i];
+        }
+      }
+      // rrf-hot-path: end(engine.surplus)
+    }
+    if (contract::armed()) {
+      // Physical safety: the policy arbitrates the sold pool and the
+      // surplus pass tops entitlements up with *unsold* head-room, so the
+      // node hands out at most max(pool, physical capacity) of any type --
+      // never shares it does not have.
+      for (std::size_t k = 0; k < kDefaultResourceCount; ++k) {
+        double entitled = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+          entitled += node.entitlement_shares[i][k];
+        }
+        const double limit = std::max(pool[k], node.capacity_shares[k]);
+        RRF_INVARIANT("engine.node_capacity_safe",
+                      approx_le(entitled, limit, 1e-7),
+                      "node " + std::to_string(h) + " type " +
+                          std::to_string(k) + " entitles " +
+                          std::to_string(entitled) + " of " +
+                          std::to_string(limit) + " shares");
+      }
+    }
+  }
+
+  /// Actuate: pushes the entitlements into the hypervisor and advances it
+  /// one window (or applies them instantly in pure-algorithm mode).
+  void actuate(NodeState& node) {
+    if (config_.use_actuators) {
+      node.hv_node->apply_shares(node.entitlement_shares);
+      node.realized = node.hv_node->step(config_.window, node.actual_demand);
+      return;
+    }
+    node.realized.resize(node.slots.size());
+    for (std::size_t i = 0; i < node.slots.size(); ++i) {
+      node.realized[i] = ResourceVector::elementwise_min(
+          pricing_.capacity_for(node.entitlement_shares[i]),
+          node.actual_demand[i]);
+    }
+  }
+
+  /// Settle: predictor updates, the economic ledger and this node's
+  /// exchange inputs.
+  void settle(std::size_t h, NodeState& node) {
+    const std::size_t n = node.slots.size();
+    // rrf-hot-path: begin(engine.settle)
+    for (std::size_t i = 0; i < n; ++i) {
+      VmSlot& slot = node.slots[i];
+      slot.predictor.observe(node.actual_demand[i]);
+      // Demand EMA for the rebalancer.
+      if (slot.predictor.observations() <= 1) {
+        slot.demand_ema = node.actual_demand[i];
+      } else {
+        slot.demand_ema =
+            slot.demand_ema * (1.0 - config_.rebalance.demand_ema_alpha) +
+            node.actual_demand[i] * config_.rebalance.demand_ema_alpha;
+      }
+    }
+
+    // Economic ledger for beta (paper Section VI-C): a tenant's share
+    // position S'_t is her initial share minus what other tenants actually
+    // consumed of her surplus, plus what she took beyond her share.
+    // Surplus nobody took is not a loss, and over-takes funded by unsold
+    // platform head-room are not financed by any tenant.  Alongside it,
+    // the realized reciprocity flows per slot for the fairness auditor:
+    // shares of this VM's surplus other tenants consumed, and shares it
+    // took financed by other tenants' surplus.
+    std::fill(node.slot_contributed.begin(), node.slot_contributed.end(),
+              0.0);
+    std::fill(node.slot_gained.begin(), node.slot_gained.end(), 0.0);
+    for (std::size_t k = 0; k < kDefaultResourceCount; ++k) {
+      double taken = 0.0, contributed = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double a = node.entitlement_shares[i][k];
+        const double s = node.slots[i].initial_share[k];
+        taken += std::max(0.0, a - s);
+        contributed += std::max(0.0, s - a);
+      }
+      const double headroom =
+          std::max(0.0, node.capacity_shares[k] - node.pool[k]);
+      const double tenant_funded = std::max(0.0, taken - headroom);
+      // Losses: a contributor only loses the fraction of her surplus other
+      // tenants actually consumed.  Gains: only the fraction financed by
+      // other tenants counts -- over-takes covered by unsold platform
+      // head-room improve performance but move no asset between tenants.
+      // The counted gains and losses balance.
+      const double theta =
+          contributed > 0.0 ? std::min(1.0, tenant_funded / contributed)
+                            : 0.0;
+      const double phi = taken > 0.0 ? tenant_funded / taken : 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double a = node.entitlement_shares[i][k];
+        const double s = node.slots[i].initial_share[k];
+        const double loss = theta * std::max(0.0, s - a);
+        const double gain = phi * std::max(0.0, a - s);
+        node.beta_shares[i][k] = s - loss + gain;
+        node.slot_contributed[i] += loss;
+        node.slot_gained[i] += gain;
+      }
+    }
+
+    // Dominant-share pressure of this node's aggregate demand, for the
+    // auditor's per-node scope (written without a lock: one writer per
+    // host).
+    ResourceVector demand_total(kDefaultResourceCount);
+    for (std::size_t i = 0; i < n; ++i) demand_total += node.actual_demand[i];
+    node_pressure_[h] =
+        cluster::host_pressure(cl_.hosts()[h].capacity, demand_total);
+
+    // Exchange inputs: everything the window's global merge needs from
+    // this node, computed here (pure per-slot arithmetic, safe in
+    // parallel) so the merge itself only performs the accumulator adds in
+    // canonical node order.
+    for (std::size_t i = 0; i < n; ++i) {
+      VmSlot& slot = node.slots[i];
+      node.slot_demand_shares[i] = pricing_.shares_for(node.actual_demand[i]);
+      double score = perf_.step_score(
+          scenario_.workloads[slot.tenant]->metric(), node.actual_demand[i],
+          node.realized[i]);
+      if (slot.migration_penalty > 0) {
+        score *= config_.rebalance.slowdown;
+        --slot.migration_penalty;
+      }
+      node.slot_score[i] = score;
+    }
+    // rrf-hot-path: end(engine.settle)
+  }
+
+  void record_flight_round(std::size_t w, Seconds now) {
+    obs::FlightRound round;
+    round.round = w;
+    round.time = now;
+    if (rebalance_prov_.has_rebalance) {
+      round.pressure_before = rebalance_prov_.pressure_before;
+      round.pressure_after = rebalance_prov_.pressure_after;
+      round.migrations.reserve(rebalance_prov_.migrations.size());
+      for (const obs::ProvenanceMigration& m : rebalance_prov_.migrations) {
+        round.migrations.push_back(
+            obs::FlightMigration{m.tenant, m.vm, m.from, m.to, m.cost_gb});
+      }
+    }
+    round.nodes.reserve(host_count_);
+    for (std::size_t h = 0; h < host_count_; ++h) {
+      if (nodes_[h].slots.empty()) continue;
+      round.nodes.push_back(std::move(flight_nodes_[h]));
+    }
+    config_.flight->record_round(round);
+  }
+
+  /// Builds the window's RoundSummary from the roll-up, feeds the incident
+  /// engine, and serialises it once for the journal and the ops hub.
+  void publish_summary(std::size_t w, Seconds now) {
+    obs::RoundSummary summary;
+    summary.window = w;
+    summary.time = now;
+    std::vector<double> share_ratio(tenant_count_, 0.0);
+    summary.tenants.reserve(tenant_count_);
+    for (std::size_t t = 0; t < tenant_count_; ++t) {
+      obs::TenantRoundStat stat;
+      stat.name = cl_.tenants()[t].name;
+      const double initial = tenant_share_sum_[t];
+      stat.share = rollup_.position[t] / initial;
+      stat.demand = rollup_.demand[t] / initial;
+      stat.granted = rollup_.entitled[t] / initial;
+      stat.contributed = rollup_.contributed[t];
+      stat.gained = rollup_.gained[t];
+      share_ratio[t] = stat.share;
+      summary.tenants.push_back(std::move(stat));
+    }
+    // Ledger positions are never negative, so an all-zero round is the
+    // only one jain_index() maps to 1.0 by itself.
+    summary.jain = tenant_count_ > 0 ? jain_index(share_ratio) : 1.0;
+    for (const NodeState& node : nodes_) summary.slots += node.slots.size();
+    // Each summary carries this window's phase-time delta alone.
+    for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
+      double cumulative = 0.0;
+      for (const NodeState& node : nodes_) {
+        cumulative += node.phase_seconds[i];
+      }
+      summary.phase_seconds[i] = cumulative - phase_prev_[i];
+      phase_prev_[i] = cumulative;
+    }
+    if (config_.incidents != nullptr) config_.incidents->observe_round(summary);
+    if (config_.journal == nullptr && config_.ops == nullptr) return;
+    std::string line = obs::round_summary_to_json(summary).dump();
+    if (config_.journal != nullptr) {
+      relay_incidents();
+      config_.journal->record_round(line);
+    }
+    if (config_.ops != nullptr) config_.ops->publish_round(std::move(line));
+  }
+
+  /// Relays incident open/resolve edges not yet journaled.
+  void relay_incidents() {
+    if (config_.incidents == nullptr || config_.journal == nullptr) return;
+    for (const obs::IncidentEvent& ev :
+         config_.incidents->events_since(&incident_event_cursor_)) {
+      config_.journal->record_incident(
+          obs::JournalIncident{ev.id, ev.opened, ev.window,
+                               obs::to_string(ev.severity), ev.kinds, ev.dir});
+    }
+  }
+
+  const Scenario& scenario_;
+  const EngineConfig& config_;
+  const cluster::Cluster& cl_;
+  const PricingModel& pricing_;
+  const std::size_t tenant_count_;
+  const std::size_t host_count_;
+  const wl::PerfModel perf_;
+  std::size_t windows_{0};
+
+  std::vector<NodeState> nodes_;
+  std::unique_ptr<ShardExecutor> shard_executor_;
+  std::vector<ShardScratch> shard_scratch_;
+  std::vector<std::size_t> demand_offset_;
+  std::vector<ResourceVector> demands_;
+  std::vector<double> tenant_share_sum_;
+  /// rrf-lt contribution bank; empty for every other policy.
+  std::vector<double> lt_balance_;
+
+  std::vector<TenantExchange> exchange_;
+  RoundRollup rollup_;
+  std::vector<double> node_pressure_;
+  ResourceVector used_total_ = ResourceVector(kDefaultResourceCount);
+  SimResult result_;
+
+  std::unique_ptr<obs::FairnessAuditor> auditor_;
+  /// Cumulative per-phase seconds at the previous window's summary.
+  std::array<double, obs::kPhaseCount> phase_prev_{};
+  /// Incident open/resolve edges already relayed into the journal.
+  std::size_t incident_event_cursor_{0};
+  bool flight_on_{false};
+  std::vector<obs::ProvenanceRound> node_prov_;
+  std::vector<obs::FlightNode> flight_nodes_;
+  obs::ProvenanceRound rebalance_prov_;
+};
 
 }  // namespace
 
 SimResult run_simulation(const Scenario& scenario,
                          const EngineConfig& config) {
-  RRF_REQUIRE(config.window > 0.0 && config.duration >= config.window,
-              "bad window/duration");
-  RRF_REQUIRE(!config.rebalance.enabled || config.rebalance.every_windows > 0,
-              "rebalancing needs every_windows > 0");
-  // Profiler root covering everything before the first window (node/HV
-  // construction, auditor setup); closed explicitly below so the window
-  // loop's own roots are not nested under it.
-  obs::ProfileScope setup_profile("engine.setup");
-  const auto& cl = scenario.cluster;
-  const PricingModel& pricing = cl.pricing();
-  const std::size_t tenant_count = cl.tenants().size();
-  const std::size_t host_count = cl.hosts().size();
-
-  const std::set<std::pair<std::size_t, std::size_t>> unplaced(
-      scenario.unplaced.begin(), scenario.unplaced.end());
-
-  // ---- build per-node state ----
-  // (Re)creates a node's hypervisor facade from its current slot list;
-  // also used after live migrations reshuffle the slots.
-  auto rebuild_hv = [&](NodeState& node, std::size_t h) {
-    hv::HypervisorNode::Config hv_config;
-    hv_config.capacity = cl.hosts()[h].capacity;
-    hv_config.pricing = pricing;
-    hv_config.memory_backend = config.memory_backend;
-    hv_config.balloon_rate_gb_s = config.balloon_rate_gb_s;
-    hv_config.use_sliced_scheduler = config.use_sliced_scheduler;
-    node.hv_node = std::make_unique<hv::HypervisorNode>(hv_config);
-    for (const VmSlot& slot : node.slots) {
-      const auto& vm = cl.tenants()[slot.tenant].vms[slot.vm];
-      node.hv_node->add_vm(vm.vcpus, vm.provisioned, vm.max_mem_gb);
-    }
-  };
-
-  std::vector<NodeState> nodes(host_count);
-  for (std::size_t t = 0; t < tenant_count; ++t) {
-    const auto& vms = cl.tenants()[t].vms;
-    for (std::size_t j = 0; j < vms.size(); ++j) {
-      if (unplaced.contains({t, j})) continue;
-      NodeState& node = nodes[scenario.host_of[t][j]];
-      node.slots.push_back(
-          VmSlot{t, j, cl.vm_shares(t, j),
-                 DemandPredictor(kDefaultResourceCount, config.predictor),
-                 ResourceVector(kDefaultResourceCount), 0});
-    }
-  }
-  for (std::size_t h = 0; h < host_count; ++h) {
-    rebuild_hv(nodes[h], h);
-    refresh_alloc_cache(nodes[h], cl.hosts()[h].capacity, pricing,
-                        tenant_count);
-  }
-
-  // ---- per-tenant metrics ----
-  SimResult result;
-  result.policy = to_string(config.policy);
-  result.window = config.window;
-  result.tenants.reserve(tenant_count);
-  for (std::size_t t = 0; t < tenant_count; ++t) {
-    result.tenants.emplace_back(cl.tenants()[t].name, cl.tenant_shares(t));
-  }
-
-  const wl::PerfModel perf(config.perf);
-  const auto windows =
-      static_cast<std::size_t>(config.duration / config.window);
-  ResourceVector used_total(kDefaultResourceCount);
-  ResourceVector capacity_total = cl.total_capacity();
-
-  // Per-window per-tenant aggregates (filled by the node loop).
-  std::vector<ResourceVector> tenant_granted(
-      tenant_count, ResourceVector(kDefaultResourceCount));
-  // Entitlements actually handed down this window.  tenant_granted is the
-  // beta LEDGER position (it only moves when one tenant funds another);
-  // on an oversold node every slot is cut proportionally, the ledger
-  // stays flat and only this aggregate shows the starvation.
-  std::vector<ResourceVector> tenant_entitled(
-      tenant_count, ResourceVector(kDefaultResourceCount));
-  std::vector<ResourceVector> tenant_demand_shares(
-      tenant_count, ResourceVector(kDefaultResourceCount));
-  std::vector<double> tenant_score_weighted(tenant_count, 0.0);
-  std::vector<double> tenant_score_weight(tenant_count, 0.0);
-  // Tenant-funded ledger flows this window (shares a tenant's surplus
-  // actually handed to / took from other tenants) plus IRT's declared
-  // contribution Lambda — the fairness auditor's reciprocity inputs.
-  std::vector<double> tenant_contributed(tenant_count, 0.0);
-  std::vector<double> tenant_gained(tenant_count, 0.0);
-  std::vector<double> tenant_lambda(tenant_count, 0.0);
-  std::vector<double> node_pressure(host_count, 0.0);
-  RRF_REQUIRE(scenario.workloads.size() == tenant_count,
-              "one workload per tenant");
-  // Per-VM demands of the round, flat across tenants: tenant t's VMs sit
-  // at demands[demand_offset[t] + vm].  Sized once, refilled in place.
-  std::vector<std::size_t> demand_offset(tenant_count + 1, 0);
-  for (std::size_t t = 0; t < tenant_count; ++t) {
-    const std::size_t vms = scenario.workloads[t]->vm_split().size();
-    RRF_REQUIRE(vms >= cl.tenants()[t].vms.size(),
-                "workload has fewer VMs than its tenant");
-    demand_offset[t + 1] = demand_offset[t] + vms;
-  }
-  std::vector<ResourceVector> demands(demand_offset[tenant_count],
-                                      ResourceVector(kDefaultResourceCount));
-
-  // ---- shard plan for the parallel round ----
-  // One pool task per shard; each shard walks its contiguous node range
-  // serially.  `shards == 0` auto-sizes to a small multiple of the pool
-  // width (capped at the host count) so chunk stealing can smooth load
-  // imbalance between shards without drowning in dispatch overhead.
-  const bool parallel_round = config.parallel_nodes && host_count > 1;
-  std::unique_ptr<ShardExecutor> shard_executor;
-  if (parallel_round) {
-    const std::size_t auto_shards = std::min(
-        host_count, std::max<std::size_t>(1, global_pool().thread_count()) * 4);
-    const std::size_t shard_count =
-        config.shards > 0 ? config.shards : auto_shards;
-    shard_executor =
-        std::make_unique<ShardExecutor>(ShardPlan::build(host_count,
-                                                         shard_count));
-  }
-  std::vector<ShardScratch> shard_scratch(
-      shard_executor ? shard_executor->plan().shard_count() : 1);
-
-  std::vector<double> tenant_share_sum(tenant_count, 0.0);
-  for (std::size_t t = 0; t < tenant_count; ++t) {
-    tenant_share_sum[t] = cl.tenant_shares(t).sum();
-  }
-
-  // rrf-lt: per-tenant contribution bank (EMA of per-window net giving).
-  std::vector<double> lt_balance;
-  if (config.policy == PolicyKind::kRrfLt) {
-    RRF_REQUIRE(config.ltrf_alpha > 0.0 && config.ltrf_alpha <= 1.0,
-                "ltrf_alpha must be in (0, 1]");
-    lt_balance.assign(tenant_count, 0.0);
-  }
-
-  // ---- fairness gauges ----
-  std::unique_ptr<obs::FairnessAuditor> auditor;
-  if (config.audit.enabled && obs::metrics_enabled()) {
-    std::vector<std::string> names;
-    names.reserve(tenant_count);
-    for (std::size_t t = 0; t < tenant_count; ++t) {
-      names.push_back(cl.tenants()[t].name);
-    }
-    auditor = std::make_unique<obs::FairnessAuditor>(config.audit, names,
-                                                     tenant_share_sum);
-  }
-  if (config.recorder != nullptr) {
-    config.recorder->clear();
-    std::vector<std::string> names;
-    names.reserve(tenant_count);
-    for (std::size_t t = 0; t < tenant_count; ++t) {
-      names.push_back(cl.tenants()[t].name);
-    }
-    config.recorder->set_tenants(std::move(names));
-  }
-
-  // ---- live ops plane (round summaries + incident edges) ----
-  const bool ops_on = config.ops != nullptr || config.journal != nullptr ||
-                      config.incidents != nullptr;
-  // Cumulative per-phase seconds at the previous window tail, so each
-  // RoundSummary carries this window's delta alone.
-  std::array<double, obs::kPhaseCount> ops_phase_prev{};
-  // Incident open/resolve edges already relayed into the journal.
-  std::size_t incident_event_cursor = 0;
-  const auto relay_incidents = [&]() {
-    if (config.incidents == nullptr || config.journal == nullptr) return;
-    for (const obs::IncidentEvent& ev :
-         config.incidents->events_since(&incident_event_cursor)) {
-      obs::JournalIncident rec;
-      rec.id = ev.id;
-      rec.opened = ev.opened;
-      rec.window = ev.window;
-      rec.severity = obs::to_string(ev.severity);
-      rec.kinds = ev.kinds;
-      rec.dir = ev.dir;
-      config.journal->record_incident(rec);
-    }
-  };
-  if (config.incidents != nullptr) {
-    config.incidents->set_metadata("policy", to_string(config.policy));
-    config.incidents->set_metadata("windows", std::to_string(windows));
-    config.incidents->set_metadata("window_seconds",
-                                   std::to_string(config.window));
-    config.incidents->set_metadata("hosts", std::to_string(host_count));
-    config.incidents->set_metadata("tenants", std::to_string(tenant_count));
-    if (shard_executor) {
-      ShardExecutor* exec = shard_executor.get();
-      config.incidents->set_extra_provider("shards.json", [exec]() {
-        json::Object doc;
-        doc.emplace_back("schema", "rrf-shards");
-        doc.emplace_back("version", 1);
-        json::Array entries;
-        for (const ShardStats& s : exec->stats()) {
-          const ShardRange& range = exec->plan().range(s.shard);
-          json::Object so;
-          so.emplace_back("shard", s.shard);
-          so.emplace_back("nodes", range.end - range.begin);
-          so.emplace_back("rounds", s.rounds);
-          so.emplace_back("busy_seconds", s.busy_seconds);
-          entries.emplace_back(std::move(so));
-        }
-        doc.emplace_back("shards", std::move(entries));
-        return json::Value(std::move(doc)).dump();
-      });
-    }
-  }
-
-  // ---- flight recorder (allocation provenance) ----
-  // Per-node capture buffers; each is filled by the one worker thread that
-  // owns the node this window, so no lock is needed.  Everything stays
-  // empty (and the hooks reduce to a thread-local pointer load) when no
-  // recorder is attached.
-  const bool flight_on = config.flight != nullptr;
-  std::vector<obs::ProvenanceRound> node_prov(flight_on ? host_count : 0);
-  std::vector<obs::FlightNode> flight_nodes(flight_on ? host_count : 0);
-  obs::ProvenanceRound rebalance_prov;
-
-  setup_profile.stop();
-
-  for (std::size_t w = 0; w < windows; ++w) {
+  EngineRun run(scenario, config);
+  for (std::size_t w = 0; w < run.windows(); ++w) {
     const Seconds now = static_cast<double>(w) * config.window;
-    if (flight_on) rebalance_prov.clear();
-
-    // ---- epoch-level live migration (load balancing) ----
-    if (config.rebalance.enabled && w > 0 &&
-        w % config.rebalance.every_windows == 0) {
-      obs::ProfileScope rebalance_profile("window.rebalance");
-      std::vector<ResourceVector> capacities;
-      capacities.reserve(host_count);
-      for (std::size_t h = 0; h < host_count; ++h) {
-        capacities.push_back(cl.hosts()[h].capacity);
-      }
-      std::vector<cluster::VmLoad> loads;
-      std::vector<std::pair<std::size_t, std::size_t>> slot_ref;
-      for (std::size_t h = 0; h < host_count; ++h) {
-        for (std::size_t i = 0; i < nodes[h].slots.size(); ++i) {
-          const VmSlot& slot = nodes[h].slots[i];
-          cluster::VmLoad load;
-          load.tenant = slot.tenant;
-          load.vm = slot.vm;
-          load.host = h;
-          load.demand = slot.demand_ema;
-          load.reserved =
-              cl.tenants()[slot.tenant].vms[slot.vm].provisioned;
-          loads.push_back(std::move(load));
-          slot_ref.emplace_back(h, i);
-        }
-      }
-      cluster::RebalancePlan plan;
-      {
-        std::optional<obs::ProvenanceScope> scope;
-        if (flight_on) scope.emplace(&rebalance_prov);
-        plan = cluster::plan_rebalance(capacities, loads,
-                                       config.rebalance.options);
-      }
-      if (!plan.empty()) {
-        std::vector<std::size_t> destination(loads.size());
-        for (std::size_t r = 0; r < loads.size(); ++r) {
-          destination[r] = loads[r].host;
-        }
-        for (const cluster::Migration& m : plan.migrations) {
-          destination[m.vm_index] = m.to;
-        }
-        std::vector<std::vector<VmSlot>> new_slots(host_count);
-        for (std::size_t r = 0; r < loads.size(); ++r) {
-          const auto [h, i] = slot_ref[r];
-          VmSlot slot = std::move(nodes[h].slots[i]);
-          if (destination[r] != h) {
-            slot.migration_penalty = config.rebalance.penalty_windows;
-          }
-          new_slots[destination[r]].push_back(std::move(slot));
-        }
-        for (std::size_t h = 0; h < host_count; ++h) {
-          nodes[h].slots = std::move(new_slots[h]);
-          // Rebuilding resets the memory actuators to boot levels; the
-          // next apply_shares() retargets them within a window or two --
-          // the same settling a real live migration incurs.
-          rebuild_hv(nodes[h], h);
-          refresh_alloc_cache(nodes[h], cl.hosts()[h].capacity, pricing,
-                              tenant_count);
-        }
-        result.migrations += plan.migrations.size();
-        result.migrated_gb += plan.total_cost_gb;
-        if (obs::tracing_enabled()) {
-          for (const cluster::Migration& m : plan.migrations) {
-            obs::TraceEvent e;
-            e.kind = obs::EventKind::kMigration;
-            e.node = static_cast<std::int32_t>(m.from);
-            e.tenant = static_cast<std::int32_t>(loads[m.vm_index].tenant);
-            e.vm = static_cast<std::int32_t>(loads[m.vm_index].vm);
-            e.window = static_cast<std::int32_t>(w);
-            e.value = m.cost_gb;
-            e.value2 = static_cast<double>(m.to);
-            obs::tracer().record(e);
-          }
-        }
-        if (obs::metrics_enabled()) {
-          obs::metrics().counter("engine.migrations")
-              .add(plan.migrations.size());
-        }
-      }
-    }
-
-    // Sample per-VM demands once per tenant (shared by all nodes).
-    obs::ProfileScope demands_profile("window.demands");
-    // rrf-hot-path: begin(engine.demands)
-    for (std::size_t t = 0; t < tenant_count; ++t) {
-      scenario.workloads[t]->vm_demands_into(
-          now, std::span<ResourceVector>(demands).subspan(
-                   demand_offset[t], demand_offset[t + 1] - demand_offset[t]));
-    }
-
-    for (auto& g : tenant_granted) g = ResourceVector(kDefaultResourceCount);
-    for (auto& e : tenant_entitled) e = ResourceVector(kDefaultResourceCount);
-    for (auto& d : tenant_demand_shares) {
-      d = ResourceVector(kDefaultResourceCount);
-    }
-    std::fill(tenant_score_weighted.begin(), tenant_score_weighted.end(),
-              0.0);
-    std::fill(tenant_score_weight.begin(), tenant_score_weight.end(), 0.0);
-    std::fill(tenant_contributed.begin(), tenant_contributed.end(), 0.0);
-    std::fill(tenant_gained.begin(), tenant_gained.end(), 0.0);
-    std::fill(tenant_lambda.begin(), tenant_lambda.end(), 0.0);
-    std::fill(node_pressure.begin(), node_pressure.end(), 0.0);
-    // rrf-hot-path: end(engine.demands)
-    demands_profile.stop();
-
-    auto process_node = [&](std::size_t h) {
-      NodeState& node = nodes[h];
-      const std::size_t n = node.slots.size();
-      if (n == 0) return;
-      const auto node_id = static_cast<std::int32_t>(h);
-      const auto window_id = static_cast<std::int32_t>(w);
-
-      if (obs::tracing_enabled()) {
-        obs::TraceEvent e;
-        e.kind = obs::EventKind::kAllocRoundBegin;
-        e.node = node_id;
-        e.window = window_id;
-        e.value = static_cast<double>(n);
-        obs::tracer().record(e);
-      }
-
-      // ---- predict: refresh demand forecasts for the round ----
-      {
-        obs::PhaseScope predict_phase(obs::Phase::kPredict, node_id,
-                                      window_id,
-                                      &node.phase_accum(obs::Phase::kPredict));
-        // rrf-hot-path: begin(engine.predict)
-        for (std::size_t i = 0; i < n; ++i) {
-          const VmSlot& slot = node.slots[i];
-          node.actual_demand[i] = demands[demand_offset[slot.tenant] + slot.vm];
-
-          ResourceVector forecast = node.actual_demand[i];
-          if (config.use_predictor) {
-            forecast =
-                node.slots[i].predictor.observations() == 0
-                    ? cl.tenants()[slot.tenant].vms[slot.vm].provisioned
-                    : node.slots[i].predictor.predict();
-          }
-          node.demand_shares[i] = pricing.shares_for(forecast);
-        }
-        // rrf-hot-path: end(engine.predict)
-      }
-
-      // The sharing policy arbitrates the pool the tenants collectively
-      // bought on this node (cached in node.pool); physical head-room
-      // beyond it is handled by the work-conserving surplus pass below.
-      const ResourceVector& pool = node.pool;
-
-      // ---- allocate: sharing policy + work-conserving surplus pass ----
-      obs::PhaseScope allocate_phase(obs::Phase::kAllocate, node_id,
-                                     window_id,
-                                     &node.phase_accum(obs::Phase::kAllocate));
-      std::fill(node.node_lambda.begin(), node.node_lambda.end(), 0.0);
-      {
-        std::optional<obs::ProvenanceScope> prov_scope;
-        if (flight_on) prov_scope.emplace(&node_prov[h]);
-        ShardScratch& scratch =
-            shard_executor ? shard_scratch[shard_executor->plan().shard_of(h)]
-                           : shard_scratch.front();
-        allocate_entitlements(config.policy, node, scratch, lt_balance,
-                              &node.node_lambda);
-      }
-      if (config.policy != PolicyKind::kTshirt) {
-        // rrf-hot-path: begin(engine.surplus)
-        // Work-conserving surplus pass: physical capacity *nobody paid
-        // for* flows to VMs with residual demand in proportion to their
-        // shares.  Capacity the policy deliberately withheld inside the
-        // sold pool (e.g. RRF denying free riders) stays idle — the
-        // entitlement caps enforce the policy's decision, exactly like
-        // the paper's non-work-conserving credit caps.
-        for (std::size_t k = 0; k < kDefaultResourceCount; ++k) {
-          for (std::size_t i = 0; i < n; ++i) {
-            node.residual[i] = std::max(
-                0.0,
-                node.demand_shares[i][k] - node.entitlement_shares[i][k]);
-            node.weights[i] = node.slots[i].initial_share[k];
-          }
-          const double surplus = node.capacity_shares[k] - pool[k];
-          if (surplus <= 0.0) continue;
-          alloc::weighted_max_min_into(surplus, node.residual, node.weights,
-                                       node.surplus_extra, node.wmm_order);
-          for (std::size_t i = 0; i < n; ++i) {
-            node.entitlement_shares[i][k] += node.surplus_extra[i];
-          }
-        }
-        // rrf-hot-path: end(engine.surplus)
-      }
-      if (contract::armed()) {
-        // Physical safety: the policy arbitrates the sold pool and the
-        // surplus pass tops entitlements up with *unsold* head-room, so
-        // the node hands out at most max(pool, physical capacity) of any
-        // type — never shares it does not have.
-        for (std::size_t k = 0; k < kDefaultResourceCount; ++k) {
-          double entitled = 0.0;
-          for (std::size_t i = 0; i < n; ++i) {
-            entitled += node.entitlement_shares[i][k];
-          }
-          const double limit = std::max(pool[k], node.capacity_shares[k]);
-          RRF_INVARIANT("engine.node_capacity_safe",
-                        approx_le(entitled, limit, 1e-7),
-                        "node " + std::to_string(h) + " type " +
-                            std::to_string(k) + " entitles " +
-                            std::to_string(entitled) + " of " +
-                            std::to_string(limit) + " shares");
-        }
-      }
-      allocate_phase.stop();
-      ++node.alloc_invocations;
-
-      // ---- actuate: push entitlements into the hypervisor and advance ----
-      {
-        obs::PhaseScope actuate_phase(
-            obs::Phase::kActuate, node_id, window_id,
-            &node.phase_accum(obs::Phase::kActuate));
-        if (config.use_actuators) {
-          node.hv_node->apply_shares(node.entitlement_shares);
-          node.realized =
-              node.hv_node->step(config.window, node.actual_demand);
-        } else {
-          node.realized.resize(n);
-          for (std::size_t i = 0; i < n; ++i) {
-            node.realized[i] = ResourceVector::elementwise_min(
-                pricing.capacity_for(node.entitlement_shares[i]),
-                node.actual_demand[i]);
-          }
-        }
-      }
-
-      // ---- settle: predictor updates, economic ledger, aggregation ----
-      obs::PhaseScope settle_phase(obs::Phase::kSettle, node_id, window_id,
-                                   &node.phase_accum(obs::Phase::kSettle));
-      // rrf-hot-path: begin(engine.settle)
-      for (std::size_t i = 0; i < n; ++i) {
-        node.slots[i].predictor.observe(node.actual_demand[i]);
-        // Demand EMA for the rebalancer.
-        VmSlot& slot = node.slots[i];
-        if (slot.predictor.observations() <= 1) {
-          slot.demand_ema = node.actual_demand[i];
-        } else {
-          slot.demand_ema =
-              slot.demand_ema * (1.0 - config.rebalance.demand_ema_alpha) +
-              node.actual_demand[i] * config.rebalance.demand_ema_alpha;
-        }
-      }
-
-      // Economic ledger for beta (paper Section VI-C): a tenant's share
-      // position S'_t is her initial share minus what other tenants
-      // actually consumed of her surplus, plus what she took beyond her
-      // share.  Surplus nobody took is not a loss, and over-takes funded
-      // by unsold platform head-room are not financed by any tenant.
-      // (beta_shares is fully overwritten below; the contributed/gained
-      // accumulators must be re-zeroed each round.)
-      std::vector<ResourceVector>& beta_shares = node.beta_shares;
-      // Realized reciprocity flows per slot, for the fairness auditor:
-      // shares of this VM's surplus other tenants consumed, and shares it
-      // took financed by other tenants' surplus.
-      std::fill(node.slot_contributed.begin(), node.slot_contributed.end(),
-                0.0);
-      std::fill(node.slot_gained.begin(), node.slot_gained.end(), 0.0);
-      std::vector<double>& slot_contributed = node.slot_contributed;
-      std::vector<double>& slot_gained = node.slot_gained;
-      {
-        const ResourceVector& capacity_shares = node.capacity_shares;
-        for (std::size_t k = 0; k < kDefaultResourceCount; ++k) {
-          double taken = 0.0, contributed = 0.0;
-          for (std::size_t i = 0; i < n; ++i) {
-            const double a = node.entitlement_shares[i][k];
-            const double s = node.slots[i].initial_share[k];
-            taken += std::max(0.0, a - s);
-            contributed += std::max(0.0, s - a);
-          }
-          const double headroom =
-              std::max(0.0, capacity_shares[k] - pool[k]);
-          const double tenant_funded = std::max(0.0, taken - headroom);
-          // Losses: a contributor only loses the fraction of her surplus
-          // other tenants actually consumed.  Gains: only the fraction
-          // financed by other tenants counts — over-takes covered by
-          // unsold platform head-room improve performance but move no
-          // asset between tenants.  The counted gains and losses balance.
-          const double theta =
-              contributed > 0.0
-                  ? std::min(1.0, tenant_funded / contributed)
-                  : 0.0;
-          const double phi = taken > 0.0 ? tenant_funded / taken : 0.0;
-          for (std::size_t i = 0; i < n; ++i) {
-            const double a = node.entitlement_shares[i][k];
-            const double s = node.slots[i].initial_share[k];
-            const double loss = theta * std::max(0.0, s - a);
-            const double gain = phi * std::max(0.0, a - s);
-            beta_shares[i][k] = s - loss + gain;
-            slot_contributed[i] += loss;
-            slot_gained[i] += gain;
-          }
-        }
-      }
-
-      // Dominant-share pressure of this node's aggregate demand, for the
-      // auditor's per-node scope (written without the lock: one writer
-      // per host).
-      {
-        ResourceVector demand_total(kDefaultResourceCount);
-        for (std::size_t i = 0; i < n; ++i) {
-          demand_total += node.actual_demand[i];
-        }
-        node_pressure[h] =
-            cluster::host_pressure(cl.hosts()[h].capacity, demand_total);
-      }
-
-      // Exchange inputs: everything the window's global merge needs from
-      // this node, computed here (pure per-slot arithmetic, safe in
-      // parallel) so the merge itself only performs the accumulator adds
-      // in canonical node order.
-      for (std::size_t i = 0; i < n; ++i) {
-        node.slot_demand_shares[i] = pricing.shares_for(node.actual_demand[i]);
-        double score = perf.step_score(
-            scenario.workloads[node.slots[i].tenant]->metric(),
-            node.actual_demand[i], node.realized[i]);
-        if (node.slots[i].migration_penalty > 0) {
-          score *= config.rebalance.slowdown;
-          --node.slots[i].migration_penalty;
-        }
-        node.slot_score[i] = score;
-      }
-      // rrf-hot-path: end(engine.settle)
-      settle_phase.stop();
-
-      if (flight_on) {
-        flight_nodes[h] =
-            build_flight_node(h, node, config.use_actuators, node_prov[h]);
-      }
-
-      if (obs::tracing_enabled()) {
-        obs::TraceEvent e;
-        e.kind = obs::EventKind::kAllocRoundEnd;
-        e.node = node_id;
-        e.window = window_id;
-        e.value = static_cast<double>(n);
-        obs::tracer().record(e);
-      }
-    };
-
-    {
-      // Covers the per-node fan-out plus its glue; in the serial path the
-      // four phase frames nest under it, in the parallel path they root in
-      // the worker threads' own arenas.
-      obs::ProfileScope dispatch_profile("window.dispatch");
-      if (parallel_round) {
-        shard_executor->run_round(process_node);
-      } else {
-        for (std::size_t h = 0; h < host_count; ++h) process_node(h);
-      }
-    }
-
-    // ---- global exchange: canonical serial merge in ascending node order.
-    // Every node published its exchange inputs (node_lambda, beta_shares,
-    // slot_{contributed,gained,demand_shares,score}) during its settle
-    // phase; folding them here, single-threaded and always in node order,
-    // makes the tenant ledgers bit-identical for any shard or thread
-    // count — and identical to the historical serial path, whose lock
-    // acquisition order was node order too.
-    {
-      obs::ProfileScope exchange_profile("window.exchange");
-      // rrf-hot-path: begin(engine.merge)
-      for (std::size_t h = 0; h < host_count; ++h) {
-        NodeState& node = nodes[h];
-        const std::size_t n = node.slots.size();
-        if (n == 0) continue;
-        for (std::size_t t = 0; t < tenant_count; ++t) {
-          tenant_lambda[t] += node.node_lambda[t];
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          const VmSlot& slot = node.slots[i];
-          tenant_granted[slot.tenant] += node.beta_shares[i];
-          tenant_entitled[slot.tenant] += node.entitlement_shares[i];
-          tenant_contributed[slot.tenant] += node.slot_contributed[i];
-          tenant_gained[slot.tenant] += node.slot_gained[i];
-          const ResourceVector& d_shares = node.slot_demand_shares[i];
-          tenant_demand_shares[slot.tenant] += d_shares;
-          const double weight = std::max(1e-9, d_shares.sum());
-          tenant_score_weighted[slot.tenant] += node.slot_score[i] * weight;
-          tenant_score_weight[slot.tenant] += weight;
-          used_total += node.realized[i] * config.window;
-        }
-      }
-      // rrf-hot-path: end(engine.merge)
-    }
-
-    // ---- window tail: per-tenant roll-ups and observer fan-out ----
-    obs::ProfileScope finalize_profile("window.finalize");
-
-    if (flight_on) {
-      obs::FlightRound round;
-      round.round = w;
-      round.time = now;
-      if (rebalance_prov.has_rebalance) {
-        round.pressure_before = rebalance_prov.pressure_before;
-        round.pressure_after = rebalance_prov.pressure_after;
-        round.migrations.reserve(rebalance_prov.migrations.size());
-        for (const obs::ProvenanceMigration& m : rebalance_prov.migrations) {
-          round.migrations.push_back(
-              obs::FlightMigration{m.tenant, m.vm, m.from, m.to, m.cost_gb});
-        }
-      }
-      round.nodes.reserve(host_count);
-      for (std::size_t h = 0; h < host_count; ++h) {
-        if (nodes[h].slots.empty()) continue;
-        round.nodes.push_back(std::move(flight_nodes[h]));
-      }
-      config.flight->record_round(round);
-    }
-
-    for (std::size_t t = 0; t < tenant_count; ++t) {
-      const double score =
-          tenant_score_weight[t] > 0.0
-              ? tenant_score_weighted[t] / tenant_score_weight[t]
-              : 1.0;
-      result.tenants[t].record_window(tenant_granted[t],
-                                      tenant_demand_shares[t], score);
-    }
-
-    if (config.policy == PolicyKind::kRrfLt) {
-      // Net giving this window = initial shares minus the ledger position
-      // (positive when other tenants consumed this tenant's surplus).
-      for (std::size_t t = 0; t < tenant_count; ++t) {
-        const double net = tenant_share_sum[t] - tenant_granted[t].sum();
-        lt_balance[t] += config.ltrf_alpha * (net - lt_balance[t]);
-      }
-    }
-
-    if (auditor) {
-      std::vector<double> position(tenant_count, 0.0);
-      for (std::size_t t = 0; t < tenant_count; ++t) {
-        position[t] = tenant_granted[t].sum();
-      }
-      obs::AuditRound round;
-      round.window = w;
-      round.position = position;
-      round.contributed = tenant_contributed;
-      round.gained = tenant_gained;
-      round.contribution_lambda = tenant_lambda;
-      round.node_pressure = node_pressure;
-      auditor->observe_round(round);
-    }
-
-    if (ops_on) {
-      obs::RoundSummary summary;
-      summary.window = w;
-      summary.time = now;
-      std::vector<double> share_ratio(tenant_count, 0.0);
-      bool any_share = false;
-      summary.tenants.reserve(tenant_count);
-      for (std::size_t t = 0; t < tenant_count; ++t) {
-        obs::TenantRoundStat stat;
-        stat.name = cl.tenants()[t].name;
-        const double initial = tenant_share_sum[t];
-        stat.share = tenant_granted[t].sum() / initial;
-        stat.demand = tenant_demand_shares[t].sum() / initial;
-        stat.granted = tenant_entitled[t].sum() / initial;
-        stat.contributed = tenant_contributed[t];
-        stat.gained = tenant_gained[t];
-        share_ratio[t] = stat.share;
-        any_share = any_share || stat.share > 0.0;
-        summary.tenants.push_back(std::move(stat));
-      }
-      summary.jain = any_share ? jain_index(share_ratio) : 1.0;
-      for (const auto& node : nodes) {
-        summary.slots += node.slots.size();
-      }
-      for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
-        double cumulative = 0.0;
-        for (const auto& node : nodes) cumulative += node.phase_seconds[i];
-        summary.phase_seconds[i] = cumulative - ops_phase_prev[i];
-        ops_phase_prev[i] = cumulative;
-      }
-      if (config.incidents != nullptr) {
-        config.incidents->observe_round(summary);
-      }
-      if (config.journal != nullptr) {
-        relay_incidents();
-        config.journal->record_round(summary);
-      }
-      if (config.ops != nullptr) config.ops->publish_round(summary);
-    }
-
-    if (config.recorder != nullptr) {
-      for (std::size_t t = 0; t < tenant_count; ++t) {
-        const double initial = tenant_share_sum[t];
-        const double score =
-            tenant_score_weight[t] > 0.0
-                ? tenant_score_weighted[t] / tenant_score_weight[t]
-                : 1.0;
-        config.recorder->record(
-            w, now, t, tenant_demand_shares[t].sum() / initial,
-            tenant_granted[t].sum() / initial, score);
-      }
-    }
-
-    if (config.observer) {
-      WindowSnapshot snapshot;
-      snapshot.window = w;
-      snapshot.time = now;
-      snapshot.tenant_position.reserve(tenant_count);
-      snapshot.tenant_demand.reserve(tenant_count);
-      snapshot.tenant_score.reserve(tenant_count);
-      for (std::size_t t = 0; t < tenant_count; ++t) {
-        snapshot.tenant_position.push_back(tenant_granted[t].sum());
-        snapshot.tenant_demand.push_back(tenant_demand_shares[t].sum());
-        snapshot.tenant_score.push_back(
-            tenant_score_weight[t] > 0.0
-                ? tenant_score_weighted[t] / tenant_score_weight[t]
-                : 1.0);
-      }
-      config.observer(snapshot);
-    }
+    run.rebalance_epoch(w);
+    run.sample_demands(now);
+    run.node_round(w);
+    run.exchange();
+    run.round_tail(w, now);
   }
-
-  for (const auto& node : nodes) {
-    for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
-      result.phase_seconds[i] += node.phase_seconds[i];
-    }
-    result.alloc_invocations += node.alloc_invocations;
-  }
-  result.alloc_seconds_total = result.phase_total(obs::Phase::kAllocate);
-  if (shard_executor) {
-    // Fold in what the executor can't see: how many VM slots each shard's
-    // nodes ended the run hosting (the imbalance denominator).
-    for (ShardStats& stats : shard_executor->stats()) {
-      const ShardRange& range = shard_executor->plan().range(stats.shard);
-      stats.slots = 0;
-      for (std::size_t h = range.begin; h < range.end; ++h) {
-        stats.slots += nodes[h].slots.size();
-      }
-    }
-    shard_executor->publish_metrics();
-    result.shards = shard_executor->stats();
-  }
-  if (config.incidents != nullptr) {
-    config.incidents->finalize();
-    relay_incidents();
-    // The providers capture shard state local to this run; never
-    // leave them dangling on the caller-owned manager.
-    config.incidents->clear_providers();
-  }
-  if (obs::metrics_enabled()) {
-    obs::metrics().counter("engine.windows").add(windows);
-    obs::metrics().counter("engine.alloc_rounds").add(result.alloc_invocations);
-  }
-  const double horizon =
-      static_cast<double>(windows) * config.window;
-  for (std::size_t k = 0; k < kDefaultResourceCount; ++k) {
-    result.mean_utilization[k] =
-        used_total[k] / (capacity_total[k] * horizon);
-  }
-  return result;
+  return run.finish();
 }
 
 }  // namespace rrf::sim

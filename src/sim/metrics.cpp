@@ -11,14 +11,13 @@ TenantMetrics::TenantMetrics(std::string name, ResourceVector initial_shares)
   RRF_REQUIRE(initial_total_ > 0.0, "tenant with zero initial shares");
 }
 
-void TenantMetrics::record_window(const ResourceVector& granted_shares,
-                                  const ResourceVector& demanded_shares,
+void TenantMetrics::record_window(double position, double demand,
                                   double perf_score) {
-  granted_total_ += granted_shares.sum();
+  granted_total_ += position;
   perf_total_ += perf_score;
   ++windows_;
-  demand_ratio_.push_back(demanded_shares.sum() / initial_total_);
-  alloc_ratio_.push_back(granted_shares.sum() / initial_total_);
+  demand_ratio_.push_back(demand / initial_total_);
+  alloc_ratio_.push_back(position / initial_total_);
 }
 
 double TenantMetrics::beta() const {

@@ -24,10 +24,9 @@ class TenantMetrics {
  public:
   TenantMetrics(std::string name, ResourceVector initial_shares);
 
-  /// Records one window: the tenant's total granted shares, total demanded
-  /// shares and the application's perf score for the window.
-  void record_window(const ResourceVector& granted_shares,
-                     const ResourceVector& demanded_shares, double perf_score);
+  /// Records one window: the tenant's ledger position and demanded shares
+  /// (each summed over resource types) and the application's perf score.
+  void record_window(double position, double demand, double perf_score);
 
   const std::string& name() const { return name_; }
   std::size_t windows() const { return windows_; }

@@ -95,7 +95,7 @@ std::vector<std::string> ndjson_lines(const std::string& body) {
   return lines;
 }
 
-RoundSummary make_round(std::size_t window) {
+std::string make_round(std::size_t window) {
   RoundSummary summary;
   summary.window = window;
   summary.jain = 0.95;
@@ -104,7 +104,7 @@ RoundSummary make_round(std::size_t window) {
   stat.name = "t0";
   stat.share = 1.0;
   summary.tenants.push_back(stat);
-  return summary;
+  return round_summary_to_json(summary).dump();
 }
 
 TEST(ObsExposition, LabeledBuildsRegistryKeys) {

@@ -216,6 +216,32 @@ TEST(IncidentBundle, TamperedBundleReportsProblemsWithoutThrowing) {
   EXPECT_GE(bundle.problems.size(), 2u);
 }
 
+TEST(IncidentBundle, NegativeManifestCountIsAProblem) {
+  const std::string dir = fresh_dir("incident_negative_count");
+  IncidentManager manager(quick_config(dir));
+  std::size_t w = 0;
+  feed(manager, &w, 10, 1.0, 1.0);
+  feed(manager, &w, 4, 0.4, 1.0);
+  manager.finalize();
+
+  const std::string manifest = dir + "/inc-0001/incident.json";
+  std::string text;
+  {
+    std::ifstream in(manifest);
+    std::getline(in, text, '\0');
+  }
+  const std::size_t key = text.find("\"opened_window\":");
+  ASSERT_NE(key, std::string::npos);
+  // "-1<n>": negative even when the window is 0.
+  text.insert(text.find_first_of("0123456789", key), "-1");
+  std::ofstream(manifest, std::ios::trunc) << text;
+
+  const IncidentBundle bundle = IncidentBundle::load_dir(dir + "/inc-0001");
+  ASSERT_EQ(bundle.problems.size(), 1u);
+  EXPECT_NE(bundle.problems.front().find("opened_window"), std::string::npos)
+      << bundle.problems.front();
+}
+
 TEST(IncidentManager, RunawayGuardStopsOpeningNewIncidents) {
   IncidentConfig config = quick_config();
   config.max_incidents = 1;

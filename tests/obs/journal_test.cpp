@@ -33,7 +33,8 @@ TelemetryJournal::Options options_for(const std::string& path,
   return options;
 }
 
-RoundSummary round_at(std::size_t window) {
+/// One serialized round record, as the engine hands it to the journal.
+std::string round_at(std::size_t window) {
   RoundSummary summary;
   summary.window = window;
   summary.time = static_cast<double>(window) * 5.0;
@@ -44,7 +45,7 @@ RoundSummary round_at(std::size_t window) {
   stat.share = 1.1;
   stat.demand = 1.5;
   summary.tenants.push_back(stat);
-  return summary;
+  return round_summary_to_json(summary).dump();
 }
 
 TEST(JournalTest, WriteLoadRoundTrip) {

@@ -129,7 +129,7 @@ TEST(OpsHubTest, PublishesLinesInOrder) {
   RoundSummary summary = sample_summary();
   for (std::size_t w = 0; w < 3; ++w) {
     summary.window = w;
-    hub.publish_round(summary);
+    hub.publish_round(round_summary_to_json(summary).dump());
   }
   EXPECT_EQ(hub.rounds_published(), 3u);
   EXPECT_EQ(hub.oldest_seq(), 0u);
@@ -156,7 +156,7 @@ TEST(OpsHubTest, SlowSubscriberSkipsAheadAndCountsTheGap) {
   RoundSummary summary = sample_summary();
   for (std::size_t w = 0; w < 10; ++w) {
     summary.window = w;
-    hub.publish_round(summary);
+    hub.publish_round(round_summary_to_json(summary).dump());
   }
   EXPECT_EQ(hub.oldest_seq(), 6u);  // rounds 0..5 rotated out
 
@@ -178,7 +178,7 @@ TEST(OpsHubTest, WaitBlocksUntilAPublishArrives) {
   std::vector<std::string> lines;
   std::thread publisher([&hub] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    hub.publish_round(RoundSummary{});
+    hub.publish_round(round_summary_to_json(RoundSummary{}).dump());
   });
   const std::size_t n =
       hub.wait_lines(&cursor, &lines, std::chrono::seconds(5));
@@ -189,7 +189,7 @@ TEST(OpsHubTest, WaitBlocksUntilAPublishArrives) {
 TEST(OpsHubTest, WatchdogClockIsInfiniteBeforeTheFirstRound) {
   OpsHub hub;
   EXPECT_TRUE(std::isinf(hub.seconds_since_round()));
-  hub.publish_round(RoundSummary{});
+  hub.publish_round(round_summary_to_json(RoundSummary{}).dump());
   EXPECT_LT(hub.seconds_since_round(), 60.0);
 }
 

@@ -56,6 +56,27 @@ TEST(TopFeed, AccumulatesRoundsCountsGapsAndSkipsForeignLines) {
   EXPECT_DOUBLE_EQ(feed.history.back().tenants[1].granted, 0.69);
 }
 
+TEST(TopFeed, RefusesMalformedGapCounts) {
+  // A negative, fractional or mistyped count would wrap or truncate in a
+  // cast to an unsigned counter; the feed drops it instead.
+  Feed feed;
+  feed.push_line(R"({"t":"gap","dropped":-3})");
+  feed.push_line(R"({"t":"gap","dropped":2.5})");
+  feed.push_line(R"({"t":"gap","dropped":"7"})");
+  EXPECT_EQ(feed.gap_dropped, 0u);
+  feed.push_line(R"({"t":"gap","dropped":4})");
+  EXPECT_EQ(feed.gap_dropped, 4u);
+}
+
+TEST(TopRender, IncidentCountsMustBeNonNegativeIntegers) {
+  const std::string pane = render_incidents(
+      R"({"open":-1,"total":1.5,"incidents":[{"id":"inc-0001",)"
+      R"("state":"open","opened_window":-6}]})");
+  EXPECT_NE(pane.find("incidents: ? open, ? total"), std::string::npos)
+      << pane;
+  EXPECT_EQ(pane.find(" w"), std::string::npos) << pane;
+}
+
 TEST(TopFeed, HistoryIsBoundedByTheWindowLimit) {
   Feed feed;
   feed.window_limit = 3;

@@ -1,15 +1,21 @@
 // End-to-end observability: the engine's fairness gauges, starvation
-// incidents and the predictor/rebalance instrumentation, driven through
-// real runs.
+// incidents, the predictor/rebalance instrumentation and the round sinks'
+// shared roll-up, driven through real runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "obs/incident.hpp"
+#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "obs/ops.hpp"
 #include "sim/engine.hpp"
 
 namespace rrf::sim {
@@ -152,6 +158,76 @@ TEST(ObsEmission, PredictorAndRebalanceInstrumentAContendedRun) {
   EXPECT_GE(counter_value("rebalance.plans") - plans0, 4u);
   EXPECT_NE(obs::metrics().find_histogram("rebalance.pressure_gap"), nullptr);
   EXPECT_EQ(counter_value("engine.windows") - windows0, 120u);
+}
+
+// One round roll-up feeds every round sink: the journal and the ops hub
+// carry the same serialized line per round, and the round summary, the
+// time-series recorder and the observer agree per tenant on demand,
+// position and score.
+TEST(ObsEmission, EveryRoundSinkReadsTheSameRollup) {
+  ScenarioConfig scenario_config;
+  scenario_config.workloads = wl::paper_workloads();
+  scenario_config.hosts = 1;
+  scenario_config.seed = 42;
+  const Scenario scenario = build_scenario(scenario_config);
+  const std::size_t tenants = scenario.cluster.tenants().size();
+  const std::size_t windows = 60;
+
+  const std::string path = ::testing::TempDir() + "/obs_rollup.jsonl";
+  obs::TelemetryJournal::Options options;
+  options.path = path;
+  options.policy = "rrf";
+  auto journal = std::make_unique<obs::TelemetryJournal>(std::move(options));
+  obs::OpsHub::Config hub_config;
+  hub_config.ring_capacity = 2 * windows;
+  obs::OpsHub hub(hub_config);
+  obs::TimeSeriesRecorder recorder;
+  std::vector<WindowSnapshot> snapshots;
+
+  EngineConfig config;
+  config.policy = PolicyKind::kRrf;
+  config.duration = 5.0 * static_cast<double>(windows);
+  config.window = 5.0;
+  config.journal = journal.get();
+  config.ops = &hub;
+  config.recorder = &recorder;
+  config.observer = [&](const WindowSnapshot& s) { snapshots.push_back(s); };
+  run_simulation(scenario, config);
+  journal->finish();
+
+  std::vector<std::string> journal_lines;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    if (line.starts_with(R"({"t":"round")")) journal_lines.push_back(line);
+  }
+  std::uint64_t cursor = 0;
+  std::vector<std::string> hub_lines;
+  hub.wait_lines(&cursor, &hub_lines, std::chrono::milliseconds(0));
+  ASSERT_EQ(journal_lines.size(), windows);
+  ASSERT_EQ(hub_lines, journal_lines);
+  ASSERT_EQ(snapshots.size(), windows);
+  ASSERT_EQ(recorder.rows().size(), windows * tenants);
+
+  for (std::size_t w = 0; w < windows; ++w) {
+    const obs::RoundSummary summary =
+        obs::round_summary_from_json(json::Value::parse(journal_lines[w]));
+    EXPECT_EQ(obs::round_summary_to_json(summary).dump(), journal_lines[w]);
+    ASSERT_EQ(summary.tenants.size(), tenants);
+    const WindowSnapshot& snapshot = snapshots[w];
+    for (std::size_t t = 0; t < tenants; ++t) {
+      const double initial = scenario.cluster.tenant_shares(t).sum();
+      const obs::TenantRoundStat& stat = summary.tenants[t];
+      const obs::TimeSeriesRecorder::Row& row =
+          recorder.rows()[w * tenants + t];
+      ASSERT_EQ(row.window, w);
+      ASSERT_EQ(row.tenant, t);
+      EXPECT_EQ(stat.share, snapshot.tenant_position[t] / initial);
+      EXPECT_EQ(stat.demand, snapshot.tenant_demand[t] / initial);
+      EXPECT_EQ(row.alloc_ratio, stat.share);
+      EXPECT_EQ(row.demand_ratio, stat.demand);
+      EXPECT_EQ(row.perf_score, snapshot.tenant_score[t]);
+    }
+  }
 }
 
 }  // namespace

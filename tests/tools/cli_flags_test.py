@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Numeric CLI flags parse whole-token.
+"""Numeric CLI flags parse whole-token; out-of-range values are usage errors.
 
 Usage:
   cli_flags_test.py RRF_SIM_CLI RRF_ALLOC_CLI CASE
   cli_flags_test.py --list
 
 Each rejecting CASE must exit 2 (the usage error) with a message naming
-the offending flag on stderr; nothing may run or wrap silently.  The
-`sim_accepts_whole_tokens` case is the control: well-formed values of the
-same flags still run to exit 0.  ctest registers one test per case.
+the offending flag, or the engine's precondition, on stderr; nothing may
+run, wrap silently or abort.  The `sim_accepts_whole_tokens` case is the
+control: well-formed values of the same flags still run to exit 0.  ctest
+registers one test per case.
 """
 
 import subprocess
@@ -32,6 +33,13 @@ REJECT = {
         "sim", SIM + ["--serve-hold", "5s"], "--serve-hold"),
     "sim_synthetic_negative": (
         "sim", ["--synthetic", "2,-4,2"], "--synthetic"),
+    # Values that parse but the engine rejects: usage errors, not aborts.
+    "sim_window_zero": ("sim", SIM + ["--window", "0"], "bad window/duration"),
+    "sim_negative_duration": (
+        "sim", SIM + ["--duration", "-5"], "bad window/duration"),
+    "sim_duration_below_window": (
+        "sim", SIM + ["--duration", "2", "--window", "5"],
+        "bad window/duration"),
     "alloc_serve_ops_junk": (
         "alloc", ["--capacity", "3000,3000", "--serve-ops", "12ab", "in.csv"],
         "--serve-ops"),

@@ -229,10 +229,8 @@ int main(int argc, char** argv) {
         share_ratio.push_back(stat.share);
         summary.tenants.push_back(std::move(stat));
       }
-      const bool any_share =
-          std::any_of(share_ratio.begin(), share_ratio.end(),
-                      [](double s) { return s > 0.0; });
-      summary.jain = any_share ? jain_index(share_ratio) : 1.0;
+      summary.jain = jain_index(share_ratio);  // 1.0 when every share is 0
+      std::string line = obs::round_summary_to_json(summary).dump();
 
       if (journal.enabled()) {
         obs::TelemetryJournal::Options journal_options =
@@ -243,14 +241,14 @@ int main(int argc, char** argv) {
           journal_options.tenants.push_back(entity.name);
         }
         obs::TelemetryJournal writer(std::move(journal_options));
-        writer.record_round(summary);
+        writer.record_round(line);
         writer.finish();
         std::cout << "wrote " << journal.path << " ("
                   << writer.bytes_written() << " bytes)\n";
       }
       if (serve_ops_port >= 0) {
         obs::OpsHub hub;
-        hub.publish_round(summary);
+        hub.publish_round(std::move(line));
         obs::ExpositionServer::Config server_config;
         server_config.port = static_cast<std::uint16_t>(serve_ops_port);
         server_config.ops = &hub;

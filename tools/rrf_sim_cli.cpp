@@ -415,10 +415,7 @@ void write_observability_outputs(const CliOptions& options) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const CliOptions options = parse(argc, argv);
+int run(const CliOptions& options) {
   const bool serve_ops = options.serve_ops_port >= 0;
   obs::set_tracing_enabled(!options.trace_path.empty());
   obs::set_metrics_enabled(!options.metrics_path.empty() ||
@@ -595,4 +592,18 @@ int main(int argc, char** argv) {
     server->stop();
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const CliOptions options = parse(argc, argv);
+  try {
+    return run(options);
+  } catch (const PreconditionError& e) {
+    // Values that parse but the scenario builder or the engine rejects
+    // (--window 0, --duration below --window, ...) are usage errors too.
+    std::cerr << e.what() << "\n";
+    usage(2);
+  }
 }
