@@ -3,16 +3,16 @@
 // D_t(i)/S(i) over 45 minutes.  Prints a coarse series (one sample per
 // minute) plus an ASCII sparkline, and writes the full 5-second series to
 // fig4_demand_traces.csv for plotting.  The series come straight from the
-// engine's TimeSeriesRecorder — no bench-side accumulation.
+// run's per-tenant metrics (TenantMetrics::demand_ratio_series) — no
+// bench-side accumulation.
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "core/rrf_system.hpp"
-#include "obs/timeseries.hpp"
 
 namespace {
 
@@ -36,12 +36,10 @@ int main() {
   scenario.hosts = 1;
   scenario.seed = 42;
 
-  obs::TimeSeriesRecorder recorder;
   sim::EngineConfig engine;
   engine.duration = 2700.0;
   engine.window = 5.0;
   engine.policy = sim::PolicyKind::kRrf;
-  engine.recorder = &recorder;
 
   const RrfSystem system(scenario, engine);
   const sim::SimResult result = system.run(sim::PolicyKind::kRrf);
@@ -49,16 +47,24 @@ int main() {
   std::cout << "Figure 4 — D_t(i)/S(i): demanded vs initial shares, "
                "4 workloads on one host, alpha = 1\n\n";
 
+  const std::size_t tenant_count = result.tenants.size();
+  const std::size_t windows = result.tenants.front().windows();
   {
-    std::ofstream csv("fig4_demand_traces.csv");
-    recorder.write_wide_csv(csv, obs::TimeSeriesRecorder::Field::kDemandRatio);
+    std::vector<std::vector<std::string>> rows{{"t_seconds"}};
+    for (const auto& tenant : result.tenants) rows[0].push_back(tenant.name());
+    for (std::size_t w = 0; w < windows; ++w) {
+      std::vector<std::string>& row = rows.emplace_back();
+      row.push_back(
+          json::format_number(static_cast<double>(w) * result.window));
+      for (const auto& tenant : result.tenants) {
+        row.push_back(json::format_number(tenant.demand_ratio_series()[w]));
+      }
+    }
+    write_csv("fig4_demand_traces.csv", rows);
   }
 
-  const std::size_t windows = recorder.windows();
-  const std::size_t tenant_count = recorder.tenant_names().size();
-  for (std::size_t t = 0; t < tenant_count; ++t) {
-    const std::vector<double> series =
-        recorder.series(t, obs::TimeSeriesRecorder::Field::kDemandRatio);
+  for (const auto& tenant : result.tenants) {
+    const std::vector<double>& series = tenant.demand_ratio_series();
     std::vector<double> per_minute;
     double mn = 1e9, mx = -1e9;
     for (std::size_t w = 0; w < series.size(); w += 12) {
@@ -68,32 +74,24 @@ int main() {
       mn = std::min(mn, x);
       mx = std::max(mx, x);
     }
-    std::cout << recorder.tenant_names()[t] << "  min="
-              << TextTable::num(mn, 2) << " max=" << TextTable::num(mx, 2)
-              << "\n  [0.0 .. 2.5] " << sparkline(per_minute, 0.0, 2.5)
-              << "\n";
+    std::cout << tenant.name() << "  min=" << TextTable::num(mn, 2)
+              << " max=" << TextTable::num(mx, 2) << "\n  [0.0 .. 2.5] "
+              << sparkline(per_minute, 0.0, 2.5) << "\n";
   }
 
   // The paper's headline observation: the co-located total exceeds the
   // node's capacity in some periods (contention) and fits in others.
-  std::vector<std::vector<double>> demand_series;
-  demand_series.reserve(tenant_count);
-  for (std::size_t t = 0; t < tenant_count; ++t) {
-    demand_series.push_back(
-        recorder.series(t, obs::TimeSeriesRecorder::Field::kDemandRatio));
-  }
   std::size_t contended = 0;
   for (std::size_t w = 0; w < windows; ++w) {
     double total_ratio = 0.0;
     double total_shares = 0.0;
     for (std::size_t t = 0; t < tenant_count; ++t) {
       const double s = system.scenario().cluster.tenant_shares(t).sum();
-      total_ratio += demand_series[t][w] * s;
+      total_ratio += result.tenants[t].demand_ratio_series()[w] * s;
       total_shares += s;
     }
     if (total_ratio / total_shares > 1.0) ++contended;
   }
-  (void)result;
   std::cout << "\nContended windows (aggregate demand > aggregate shares): "
             << contended << "/" << windows << " ("
             << TextTable::pct(static_cast<double>(contended) /

@@ -2,17 +2,16 @@
 // S'_t(i)/S(i) under RRF, same scenario as Figure 4.  During contention
 // RRF balances the allocations around each tenant's share position; in
 // uncontended periods every workload simply holds its demand.  The series
-// come from the engine's TimeSeriesRecorder.
+// come from the run's per-tenant metrics (TenantMetrics::alloc_ratio_series).
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/rrf_system.hpp"
-#include "obs/timeseries.hpp"
 
 namespace {
 
@@ -36,11 +35,9 @@ int main() {
   scenario.hosts = 1;
   scenario.seed = 42;
 
-  obs::TimeSeriesRecorder recorder;
   sim::EngineConfig engine;
   engine.duration = 2700.0;
   engine.window = 5.0;
-  engine.recorder = &recorder;
 
   const RrfSystem system(scenario, engine);
   const sim::SimResult result = system.run(sim::PolicyKind::kRrf);
@@ -49,26 +46,34 @@ int main() {
                "RRF, 4 workloads on one host, alpha = 1\n\n";
 
   {
-    std::ofstream csv("fig5_rrf_allocation.csv");
-    recorder.write_wide_csv(csv, obs::TimeSeriesRecorder::Field::kAllocRatio);
+    std::vector<std::vector<std::string>> rows{{"t_seconds"}};
+    for (const auto& tenant : result.tenants) rows[0].push_back(tenant.name());
+    for (std::size_t w = 0; w < result.tenants.front().windows(); ++w) {
+      std::vector<std::string>& row = rows.emplace_back();
+      row.push_back(
+          json::format_number(static_cast<double>(w) * result.window));
+      for (const auto& tenant : result.tenants) {
+        row.push_back(json::format_number(tenant.alloc_ratio_series()[w]));
+      }
+    }
+    write_csv("fig5_rrf_allocation.csv", rows);
   }
 
   TextTable table("per-workload allocation-ratio summary (RRF)");
   table.header({"Workload", "mean S'/S", "min", "max", "stddev", "beta"});
-  for (std::size_t t = 0; t < recorder.tenant_names().size(); ++t) {
-    const std::vector<double> series =
-        recorder.series(t, obs::TimeSeriesRecorder::Field::kAllocRatio);
+  for (const auto& tenant : result.tenants) {
+    const std::vector<double>& series = tenant.alloc_ratio_series();
     std::vector<double> per_minute;
     for (std::size_t w = 0; w < series.size(); w += 12) {
       per_minute.push_back(series[w]);
     }
     const double mn = *std::min_element(series.begin(), series.end());
     const double mx = *std::max_element(series.begin(), series.end());
-    table.row({recorder.tenant_names()[t], TextTable::num(mean(series), 3),
+    table.row({tenant.name(), TextTable::num(mean(series), 3),
                TextTable::num(mn, 3), TextTable::num(mx, 3),
                TextTable::num(stddev(series), 3),
-               TextTable::num(result.tenants[t].beta(), 3)});
-    std::cout << recorder.tenant_names()[t] << "\n  [0.5 .. 1.5] "
+               TextTable::num(tenant.beta(), 3)});
+    std::cout << tenant.name() << "\n  [0.5 .. 1.5] "
               << sparkline(per_minute, 0.5, 1.5) << "\n";
   }
   std::cout << "\n";

@@ -16,10 +16,10 @@ obs::FlightRecording capture_alloc_round(
   RRF_REQUIRE(!entities.empty(), "no entities to capture");
   const AllocatorPtr allocator = make_allocator(policy_name);
 
-  obs::ProvenanceRound prov;
+  obs::FlightNode node;
   AllocationResult result;
   {
-    obs::ProvenanceScope scope(&prov);
+    obs::ProvenanceScope scope(&node.prov);
     result = allocator->allocate(capacity, entities);
   }
 
@@ -49,10 +49,11 @@ obs::FlightRecording capture_alloc_round(
   header.build = common::build_info_json();
 
   obs::FlightRound round;
-  obs::FlightNode node;
   node.node = 0;
   node.slots.reserve(entities.size());
+  node.tenants.reserve(entities.size());
   for (std::size_t i = 0; i < entities.size(); ++i) {
+    node.tenants.push_back(i);  // entity order == tenant order
     obs::FlightSlot slot;
     slot.tenant = i;
     slot.vm = 0;
@@ -63,20 +64,6 @@ obs::FlightRecording capture_alloc_round(
     slot.weight = entities[i].weight;
     slot.banked = entities[i].banked_contribution;
     node.slots.push_back(std::move(slot));
-  }
-  if (prov.has_irt) {
-    node.has_irt = true;
-    node.irt_types = prov.irt_types;
-    node.irt.reserve(prov.irt_lambda.size());
-    for (std::size_t i = 0; i < prov.irt_lambda.size(); ++i) {
-      obs::FlightIrtTenant t;
-      t.tenant = i;  // entity order == tenant order in one-shot capture
-      t.lambda = prov.irt_lambda[i];
-      t.share = prov.irt_share[i];
-      t.demand = prov.irt_demand[i];
-      t.grant = prov.irt_grant[i];
-      node.irt.push_back(std::move(t));
-    }
   }
   round.nodes.push_back(std::move(node));
   recording.rounds.push_back(std::move(round));

@@ -115,11 +115,8 @@ void fill_contributions(std::span<const AllocationEntity> entities,
   }
 }
 
-/// `entities` itself when the pool covers every type's initial shares;
-/// otherwise a copy in `fitted` whose type-k shares are scaled by
-/// Omega_k / sum_i S_k(i) for each oversold type k.  Sums within rounding
-/// of the pool count as covered, so a pool computed as the same shares
-/// summed in another order never scales.
+}  // namespace
+
 std::span<const AllocationEntity> fit_shares_to_pool(
     const ResourceVector& capacity,
     std::span<const AllocationEntity> entities,
@@ -139,8 +136,6 @@ std::span<const AllocationEntity> fit_shares_to_pool(
   }
   return fitted;
 }
-
-}  // namespace
 
 std::vector<double> IrtAllocator::total_contributions(
     std::span<const AllocationEntity> entities) {

@@ -91,6 +91,17 @@ struct IrtWorkspace {
   std::vector<AllocationEntity> fitted;
 };
 
+/// `entities` itself when the pool covers every type's initial shares;
+/// otherwise a copy in `fitted` whose type-k shares are scaled by
+/// Omega_k / sum_i S_k(i) for each oversold type k.  Sums within rounding
+/// of the pool count as covered, so a pool computed as the same shares
+/// summed in another order never scales.  IRT fits its entities before
+/// Algorithm 1; the static-entitlement policies fit what they hand out.
+std::span<const AllocationEntity> fit_shares_to_pool(
+    const ResourceVector& capacity,
+    std::span<const AllocationEntity> entities,
+    std::vector<AllocationEntity>& fitted);
+
 class IrtAllocator final : public Allocator {
  public:
   explicit IrtAllocator(IrtOptions options = {}) : options_(options) {}

@@ -19,6 +19,8 @@ namespace rrf::obs {
 namespace {
 
 constexpr std::string_view kPrefix = "flightrec";
+/// Buffered bytes before the recorder flushes to its stream.
+constexpr std::size_t kFlushBytes = 256 * 1024;
 
 [[noreturn]] void fail(const std::string& message) {
   throw DomainError(std::string(kPrefix) + ": " + message);
@@ -213,23 +215,27 @@ json::Value flight_round_to_json(const FlightRound& round) {
       slots.emplace_back(std::move(so));
     }
     no.emplace_back("slots", std::move(slots));
-    if (node.has_irt) {
+    const ProvenanceRound& prov = node.prov;
+    RRF_REQUIRE(node.tenants.size() >=
+                    std::max(prov.irt_lambda.size(), prov.iwa.size()),
+                "flightrec: a provenance group has no tenant id");
+    if (prov.has_irt) {
       json::Object irt;
       json::Array tenants;
-      tenants.reserve(node.irt.size());
-      for (const FlightIrtTenant& t : node.irt) {
+      tenants.reserve(prov.irt_lambda.size());
+      for (std::size_t g = 0; g < prov.irt_lambda.size(); ++g) {
         json::Object to;
-        to.emplace_back("t", t.tenant);
-        to.emplace_back("lambda", t.lambda);
-        to.emplace_back("share", vec_to_json(t.share));
-        to.emplace_back("demand", vec_to_json(t.demand));
-        to.emplace_back("grant", vec_to_json(t.grant));
+        to.emplace_back("t", node.tenants[g]);
+        to.emplace_back("lambda", prov.irt_lambda[g]);
+        to.emplace_back("share", vec_to_json(prov.irt_share[g]));
+        to.emplace_back("demand", vec_to_json(prov.irt_demand[g]));
+        to.emplace_back("grant", vec_to_json(prov.irt_grant[g]));
         tenants.emplace_back(std::move(to));
       }
       irt.emplace_back("tenants", std::move(tenants));
       json::Array types;
-      types.reserve(node.irt_types.size());
-      for (const ProvenanceIrtType& k : node.irt_types) {
+      types.reserve(prov.irt_types.size());
+      for (const ProvenanceIrtType& k : prov.irt_types) {
         json::Object ko;
         ko.emplace_back("contributors", k.contributors);
         ko.emplace_back("capped", k.capped);
@@ -239,12 +245,13 @@ json::Value flight_round_to_json(const FlightRound& round) {
       irt.emplace_back("types", std::move(types));
       no.emplace_back("irt", json::Value(std::move(irt)));
     }
-    if (!node.iwa.empty()) {
+    if (!prov.iwa.empty()) {
       json::Array iwa;
-      iwa.reserve(node.iwa.size());
-      for (const FlightIwa& w : node.iwa) {
+      iwa.reserve(prov.iwa.size());
+      for (std::size_t g = 0; g < prov.iwa.size(); ++g) {
+        const ProvenanceIwa& w = prov.iwa[g];
         json::Object wo;
-        wo.emplace_back("t", w.tenant);
+        wo.emplace_back("t", node.tenants[g]);
         json::Array grants;
         grants.reserve(w.vm_grant.size());
         for (const ResourceVector& g : w.vm_grant) {
@@ -305,18 +312,17 @@ FlightRound flight_round_from_json(const json::Value& value) {
       slot.banked = sr.number_or("banked", 0.0);
       node.slots.push_back(std::move(slot));
     }
+    ProvenanceRound& prov = node.prov;
     if (nr.has("irt")) {
       const json::Reader irt = nr.object("irt");
-      node.has_irt = true;
+      prov.has_irt = true;
       for (const json::Value& t : irt.array("tenants")) {
         const json::Reader tr(t, kPrefix, "IRT tenant entry");
-        FlightIrtTenant out;
-        out.tenant = tr.size("t");
-        out.lambda = tr.number("lambda");
-        out.share = vec_field(tr, "share");
-        out.demand = vec_field(tr, "demand");
-        out.grant = vec_field(tr, "grant");
-        node.irt.push_back(std::move(out));
+        node.tenants.push_back(tr.size("t"));
+        prov.irt_lambda.push_back(tr.number("lambda"));
+        prov.irt_share.push_back(vec_field(tr, "share"));
+        prov.irt_demand.push_back(vec_field(tr, "demand"));
+        prov.irt_grant.push_back(vec_field(tr, "grant"));
       }
       for (const json::Value& k : irt.array("types")) {
         const json::Reader kr(k, kPrefix, "IRT type entry");
@@ -324,19 +330,28 @@ FlightRound flight_round_from_json(const json::Value& value) {
         out.contributors = kr.size("contributors");
         out.capped = kr.size("capped");
         out.redistributed = kr.number("redistributed");
-        node.irt_types.push_back(out);
+        prov.irt_types.push_back(out);
       }
     }
     if (nr.has("iwa")) {
       for (const json::Value& w : nr.array("iwa")) {
         const json::Reader wr(w, kPrefix, "IWA entry");
-        FlightIwa out;
-        out.tenant = wr.size("t");
-        for (const json::Value& g : wr.array("grant")) {
-          out.vm_grant.push_back(vec_from_json(wr, g, "iwa grant"));
+        // IWA entry g distributes group g's grant: its tenant is the IRT
+        // entity g's when IRT ran, and new otherwise.
+        const std::size_t g = prov.iwa.size();
+        const std::size_t tenant = wr.size("t");
+        if (g == node.tenants.size()) {
+          node.tenants.push_back(tenant);
+        } else if (node.tenants[g] != tenant) {
+          wr.fail("tenant " + std::to_string(tenant) +
+                  " disagrees with IRT group " + std::to_string(g) +
+                  "'s tenant " + std::to_string(node.tenants[g]));
+        }
+        ProvenanceIwa& out = prov.iwa.emplace_back();
+        for (const json::Value& grant : wr.array("grant")) {
+          out.vm_grant.push_back(vec_from_json(wr, grant, "iwa grant"));
         }
         out.headroom = vec_field(wr, "headroom");
-        node.iwa.push_back(std::move(out));
       }
     }
     round.nodes.push_back(std::move(node));
@@ -374,7 +389,6 @@ FlightRecording FlightRecording::load(std::istream& in) {
       const json::Reader t = json::Reader(value, kPrefix).object("trailer");
       FlightTrailer trailer;
       trailer.rounds = t.size("rounds");
-      trailer.dropped = t.size("dropped");
       trailer.bytes = t.size("bytes");
       recording.trailer = trailer;
       continue;
@@ -401,12 +415,8 @@ FlightRecording FlightRecording::load_file(const std::string& path) {
 // FlightRecorder
 // ---------------------------------------------------------------------------
 
-FlightRecorder::FlightRecorder(std::ostream& out)
-    : FlightRecorder(out, Options()) {}
-
-FlightRecorder::FlightRecorder(std::ostream& out, Options options)
-    : out_(out), options_(options) {
-  buffer_.reserve(std::min<std::size_t>(options_.flush_bytes + 4096, 1 << 20));
+FlightRecorder::FlightRecorder(std::ostream& out) : out_(out) {
+  buffer_.reserve(kFlushBytes + 4096);
 }
 
 FlightRecorder::~FlightRecorder() {
@@ -428,20 +438,12 @@ void FlightRecorder::write_header(const FlightHeader& header) {
           .count();
 }
 
-bool FlightRecorder::record_round(const FlightRound& round) {
+void FlightRecorder::record_round(const FlightRound& round) {
   RRF_REQUIRE(header_written_, "flightrec: record_round before write_header");
   RRF_REQUIRE(!finished_, "flightrec: record_round after finish");
   const auto start = std::chrono::steady_clock::now();
-  std::string line = flight_round_to_json(round).dump() + "\n";
-  bool recorded = true;
-  if (options_.max_bytes > 0 &&
-      bytes_written_ + buffer_.size() + line.size() > options_.max_bytes) {
-    ++rounds_dropped_;
-    recorded = false;
-  } else {
-    buffer_line(std::move(line));
-    ++rounds_recorded_;
-  }
+  buffer_line(flight_round_to_json(round).dump() + "\n");
+  ++rounds_recorded_;
   const double dt =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -450,9 +452,7 @@ bool FlightRecorder::record_round(const FlightRound& round) {
     static Histogram& record_time = metrics().histogram(
         "flightrec.record_seconds", default_seconds_bounds());
     record_time.observe(dt);
-    if (!recorded) metrics().counter("flightrec.rounds_dropped").add();
   }
-  return recorded;
 }
 
 void FlightRecorder::finish() {
@@ -463,7 +463,6 @@ void FlightRecorder::finish() {
   finished_ = true;
   json::Object trailer;
   trailer.emplace_back("rounds", rounds_recorded_);
-  trailer.emplace_back("dropped", rounds_dropped_);
   // The byte count covers everything *before* the trailer line, so a
   // reader can cross-check the payload it received.
   trailer.emplace_back("bytes", bytes_written_ + buffer_.size());
@@ -483,7 +482,7 @@ void FlightRecorder::write_recording(const FlightRecording& recording) {
 
 void FlightRecorder::buffer_line(std::string line) {
   buffer_ += line;
-  if (buffer_.size() >= options_.flush_bytes) flush_buffer();
+  if (buffer_.size() >= kFlushBytes) flush_buffer();
 }
 
 void FlightRecorder::flush_buffer() {
@@ -665,23 +664,26 @@ FlightDiffResult diff_recordings(const FlightRecording& a,
           delta(sa.tenant, std::abs(sa.entitlement[k] - sb.entitlement[k]));
         }
       }
-      if (na.has_irt != nb.has_irt || na.irt.size() != nb.irt.size()) {
+      const ProvenanceRound& pa = na.prov;
+      const ProvenanceRound& pb = nb.prov;
+      if (pa.has_irt != pb.has_irt ||
+          pa.irt_lambda.size() != pb.irt_lambda.size()) {
         walk.diverge(ra.round, node_tag + " IRT section differs");
         continue;
       }
-      for (std::size_t g = 0; g < na.irt.size(); ++g) {
+      for (std::size_t g = 0; g < pa.irt_lambda.size(); ++g) {
         const std::string irt_tag =
-            node_tag + " IRT tenant " + std::to_string(na.irt[g].tenant);
-        walk.check(ra.round, irt_tag, "lambda", na.irt[g].lambda,
-                   nb.irt[g].lambda);
-        walk.check_vec(ra.round, irt_tag, "grant", na.irt[g].grant,
-                       nb.irt[g].grant);
+            node_tag + " IRT tenant " + std::to_string(na.tenants[g]);
+        walk.check(ra.round, irt_tag, "lambda", pa.irt_lambda[g],
+                   pb.irt_lambda[g]);
+        walk.check_vec(ra.round, irt_tag, "grant", pa.irt_grant[g],
+                       pb.irt_grant[g]);
       }
       for (std::size_t k = 0;
-           k < std::min(na.irt_types.size(), nb.irt_types.size()); ++k) {
+           k < std::min(pa.irt_types.size(), pb.irt_types.size()); ++k) {
         walk.check(ra.round, node_tag + " IRT type " + std::to_string(k),
-                   "redistributed", na.irt_types[k].redistributed,
-                   nb.irt_types[k].redistributed);
+                   "redistributed", pa.irt_types[k].redistributed,
+                   pb.irt_types[k].redistributed);
       }
     }
   }
@@ -757,12 +759,8 @@ std::string explain_decision(const FlightRecording& recording,
   }
   if (round == nullptr) {
     fail("round " + std::to_string(query.round) +
-         " is not in the recording (" + std::to_string(recording.rounds.size()) +
-         " rounds" +
-         (recording.trailer && recording.trailer->dropped > 0
-              ? ", " + std::to_string(recording.trailer->dropped) + " dropped"
-              : std::string()) +
-         ")");
+         " is not in the recording (" +
+         std::to_string(recording.rounds.size()) + " rounds)");
   }
 
   const bool alloc_kind = header.kind == "alloc";
@@ -785,15 +783,14 @@ std::string explain_decision(const FlightRecording& recording,
     for (const FlightSlot& s : node.slots) {
       if (s.tenant == tenant) slots.push_back(&s);
     }
-    const FlightIrtTenant* irt = nullptr;
-    for (const FlightIrtTenant& t : node.irt) {
-      if (t.tenant == tenant) irt = &t;
-    }
-    const FlightIwa* iwa = nullptr;
-    for (const FlightIwa& w : node.iwa) {
-      if (w.tenant == tenant) iwa = &w;
-    }
-    if (slots.empty() && irt == nullptr) continue;
+    const ProvenanceRound& prov = node.prov;
+    const auto group = static_cast<std::size_t>(
+        std::find(node.tenants.begin(), node.tenants.end(), tenant) -
+        node.tenants.begin());
+    const bool irt = group < prov.irt_lambda.size();
+    const ProvenanceIwa* iwa =
+        group < prov.iwa.size() ? &prov.iwa[group] : nullptr;
+    if (slots.empty() && !irt) continue;
     found = true;
 
     os << "\nnode " << node.node << ":\n";
@@ -808,41 +805,45 @@ std::string explain_decision(const FlightRecording& recording,
     }
 
     // ---- IRT (Algorithm 1) ----
-    if (irt != nullptr) {
+    if (irt) {
+      const ResourceVector& share = prov.irt_share[group];
+      const ResourceVector& demand = prov.irt_demand[group];
+      const ResourceVector& grant = prov.irt_grant[group];
+      const double lambda = prov.irt_lambda[group];
       double lambda_total = 0.0;
-      for (const FlightIrtTenant& t : node.irt) lambda_total += t.lambda;
+      for (const double l : prov.irt_lambda) lambda_total += l;
       os << "  [IRT Alg.1 l.1-8 · contribution accounting]\n";
-      ResourceVector contribution(irt->share.size());
-      for (std::size_t k = 0; k < irt->share.size(); ++k) {
-        contribution[k] = std::max(0.0, irt->share[k] - irt->demand[k]);
+      ResourceVector contribution(share.size());
+      for (std::size_t k = 0; k < share.size(); ++k) {
+        contribution[k] = std::max(0.0, share[k] - demand[k]);
       }
-      os << "    tenant-level share S = " << vec6(irt->share) << ", demand D = "
-         << vec6(irt->demand) << "\n";
+      os << "    tenant-level share S = " << vec6(share) << ", demand D = "
+         << vec6(demand) << "\n";
       os << "    contribution C = max(0, S-D) = " << vec6(contribution)
-         << "; Lambda = " << num6(irt->lambda);
+         << "; Lambda = " << num6(lambda);
       if (lambda_total > 0.0) {
-        os << " (" << num6(100.0 * irt->lambda / lambda_total)
+        os << " (" << num6(100.0 * lambda / lambda_total)
            << "% of node total " << num6(lambda_total) << ")";
       }
       os << "\n";
       os << "  [IRT Alg.1 l.9-15 · ordering + boundary search]\n";
-      for (std::size_t k = 0; k < node.irt_types.size(); ++k) {
-        const ProvenanceIrtType& type = node.irt_types[k];
+      for (std::size_t k = 0; k < prov.irt_types.size(); ++k) {
+        const ProvenanceIrtType& type = prov.irt_types[k];
         os << "    " << resource_name(k) << ": " << type.contributors
            << " contributor(s), boundary capped " << type.capped
            << " entity(ies) at demand, psi redistributed = "
            << num6(type.redistributed) << " shares\n";
       }
       os << "  [IRT Alg.1 l.16-20 · grant]\n";
-      for (std::size_t k = 0; k < irt->grant.size(); ++k) {
-        const double gain = irt->grant[k] - irt->share[k];
-        os << "    " << resource_name(k) << ": grant " << num6(irt->grant[k])
+      for (std::size_t k = 0; k < grant.size(); ++k) {
+        const double gain = grant[k] - share[k];
+        os << "    " << resource_name(k) << ": grant " << num6(grant[k])
            << " (" << signed6(gain) << " vs share";
         const double psi =
-            k < node.irt_types.size() ? node.irt_types[k].redistributed : 0.0;
+            k < prov.irt_types.size() ? prov.irt_types[k].redistributed : 0.0;
         if (gain > 0.0 && psi > 0.0) {
           os << "; " << num6(100.0 * gain / psi) << "% of the " << num6(psi)
-             << " redistributed, in proportion to Lambda " << num6(irt->lambda);
+             << " redistributed, in proportion to Lambda " << num6(lambda);
         }
         os << ")\n";
       }

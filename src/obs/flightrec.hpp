@@ -10,7 +10,7 @@
 //               forecast / entitlement / actuator targets, the IRT
 //               contribution-lambda breakdown and per-type redistribution,
 //               the IWA flows, and any migrations planned that round;
-//   last line — an optional trailer with round/byte/drop accounting.
+//   last line — an optional trailer with round/byte accounting.
 //
 // Because common/json serializes doubles in shortest-round-trip form
 // (json.cpp::append_number verifies strtod(dump(d)) == d), a recording is
@@ -19,11 +19,9 @@
 // tools/rrf_inspect's `replay` verb verifies round by round.
 //
 // FlightRecorder buffers serialized lines and flushes in large writes so
-// recording stays off the allocation critical path; with an optional byte
-// budget it degrades by *dropping whole rounds* (counted in the trailer)
-// rather than corrupting the stream.  Overhead is exported through the
-// metrics registry (flightrec.bytes_written / rounds / rounds_dropped and
-// the flightrec.record_seconds histogram).
+// recording stays off the allocation critical path.  Overhead is exported
+// through the metrics registry (flightrec.bytes_written / rounds and the
+// flightrec.record_seconds histogram).
 #pragma once
 
 #include <cstddef>
@@ -97,28 +95,15 @@ struct FlightSlot {
   double banked{0.0};
 };
 
-/// Tenant-level IRT view on one node (entities in ascending-tenant order).
-struct FlightIrtTenant {
-  std::size_t tenant{0};
-  double lambda{0.0};
-  ResourceVector share{0.0, 0.0};
-  ResourceVector demand{0.0, 0.0};
-  ResourceVector grant{0.0, 0.0};
-};
-
-struct FlightIwa {
-  std::size_t tenant{0};
-  std::vector<ResourceVector> vm_grant;
-  ResourceVector headroom{0.0, 0.0};
-};
-
 struct FlightNode {
   std::size_t node{0};
   std::vector<FlightSlot> slots;
-  bool has_irt{false};
-  std::vector<FlightIrtTenant> irt;
-  std::vector<ProvenanceIrtType> irt_types;
-  std::vector<FlightIwa> iwa;
+  /// The IRT/IWA provenance the allocators captured on this node.  Its
+  /// per-group entries (IRT entities, IWA calls) are in group order; the
+  /// rebalance fields stay empty.
+  ProvenanceRound prov;
+  /// Group index -> global tenant id (ascending on engine nodes).
+  std::vector<std::size_t> tenants;
 };
 
 struct FlightMigration {
@@ -141,7 +126,6 @@ struct FlightRound {
 
 struct FlightTrailer {
   std::size_t rounds{0};
-  std::size_t dropped{0};
   std::uint64_t bytes{0};
 };
 
@@ -166,33 +150,23 @@ FlightRound flight_round_from_json(const json::Value& value);
 /// Streams a recording as JSONL with bounded buffering.
 class FlightRecorder {
  public:
-  struct Options {
-    /// Buffered bytes before the recorder flushes to the stream.
-    std::size_t flush_bytes = 256 * 1024;
-    /// Total byte budget (0 = unbounded).  Once header + recorded rounds
-    /// would exceed it, further rounds are dropped (and counted).
-    std::size_t max_bytes = 0;
-  };
-
   /// `out` is not owned and must outlive the recorder.
   explicit FlightRecorder(std::ostream& out);
-  FlightRecorder(std::ostream& out, Options options);
   ~FlightRecorder();
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   /// Must be called once, before the first record_round().
   void write_header(const FlightHeader& header);
-  /// Serializes and buffers one round; returns false when the byte budget
-  /// dropped it.  Single-producer: call from one thread at a time.
-  bool record_round(const FlightRound& round);
+  /// Serializes and buffers one round.  Single-producer: call from one
+  /// thread at a time.
+  void record_round(const FlightRound& round);
   /// Flushes the buffer and appends the trailer line.  Idempotent; called
   /// by the destructor if the caller forgot.
   void finish();
 
   std::uint64_t bytes_written() const { return bytes_written_; }
   std::size_t rounds_recorded() const { return rounds_recorded_; }
-  std::size_t rounds_dropped() const { return rounds_dropped_; }
   /// Wall seconds spent serializing + buffering (the recorder's overhead).
   double record_seconds() const { return record_seconds_; }
 
@@ -205,11 +179,9 @@ class FlightRecorder {
   void publish_metrics();
 
   std::ostream& out_;
-  Options options_;
   std::string buffer_;
   std::uint64_t bytes_written_{0};
   std::size_t rounds_recorded_{0};
-  std::size_t rounds_dropped_{0};
   double record_seconds_{0.0};
   bool header_written_{false};
   bool finished_{false};

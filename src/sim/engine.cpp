@@ -154,6 +154,10 @@ struct ShardScratch {
   alloc::RrfWorkspace rrf;
   /// VM grants of the hierarchical policies, in group order.
   std::vector<ResourceVector> vm_grants;
+  /// The static-entitlement policies (tshirt, iwa): the shares each entity
+  /// owns, and their copy fit to an oversold pool (alloc::fit_shares_to_pool).
+  std::vector<alloc::AllocationEntity> owned;
+  std::vector<alloc::AllocationEntity> fitted;
 };
 
 /// Rebuilds the allocation scaffolding after slot membership changed.
@@ -276,8 +280,13 @@ void allocate_entitlements(PolicyKind policy, NodeState& node,
 
   switch (policy) {
     case PolicyKind::kTshirt: {
+      // Each VM is entitled to its own shares, scaled to what an oversold
+      // host backs.
+      const std::span<const alloc::AllocationEntity> owned =
+          alloc::fit_shares_to_pool(node.pool, node.flat_entities,
+                                    scratch.fitted);
       for (std::size_t i = 0; i < n; ++i) {
-        node.entitlement_shares[i] = node.slots[i].initial_share;
+        node.entitlement_shares[i] = owned[i].initial_share;
       }
       return;
     }
@@ -289,14 +298,22 @@ void allocate_entitlements(PolicyKind policy, NodeState& node,
       return allocate_flat(alloc::SequentialDrfAllocator{});
     // rrf-hot-path: begin(engine.hierarchical)
     case PolicyKind::kIwaOnly: {
-      // Tenant entitlement is static (its own shares); IWA moves shares
-      // between the tenant's VMs only.
+      // Tenant entitlement is static (its own shares, scaled to what an
+      // oversold host backs); IWA moves shares between the tenant's VMs
+      // only.
       refresh_groups();
+      scratch.owned.resize(node.groups.size());
+      for (std::size_t g = 0; g < node.groups.size(); ++g) {
+        scratch.owned[g].initial_share = node.group_totals[g];
+      }
+      const std::span<const alloc::AllocationEntity> owned =
+          alloc::fit_shares_to_pool(node.pool, scratch.owned,
+                                    scratch.fitted);
       ResourceVector headroom(kDefaultResourceCount);
       std::size_t offset = 0;
       for (std::size_t g = 0; g < node.groups.size(); ++g) {
         const std::size_t size = node.groups[g].vms.size();
-        alloc::iwa_distribute_into(node.group_totals[g], node.groups[g].vms,
+        alloc::iwa_distribute_into(owned[g].initial_share, node.groups[g].vms,
                                    grants.subspan(offset, size), headroom,
                                    scratch.rrf.iwa);
         offset += size;
@@ -334,17 +351,17 @@ void allocate_entitlements(PolicyKind policy, NodeState& node,
   // rrf-hot-path: end(engine.hierarchical)
 }
 
-/// Assembles this node's flight-recorder entry for the window just
-/// processed: per-slot inputs/decisions plus the IRT/IWA provenance the
-/// thread-local sink captured inside allocate_entitlements().  Group
-/// indices are resolved to global tenant ids via node.tenant_ids (the
-/// ascending order the groups were built in).
-obs::FlightNode build_flight_node(std::size_t h, const NodeState& node,
-                                  bool use_actuators,
-                                  const obs::ProvenanceRound& prov) {
-  obs::FlightNode out;
+/// Fills this node's flight-recorder entry for the window just processed
+/// with the per-slot inputs/decisions.  `out.prov` already holds the
+/// IRT/IWA provenance captured inside allocate_entitlements(); its groups
+/// resolve to global tenant ids through node.tenant_ids (the ascending
+/// order the groups were built in).
+void fill_flight_node(std::size_t h, const NodeState& node,
+                      bool use_actuators, obs::FlightNode& out) {
   out.node = h;
+  out.tenants = node.tenant_ids;
   const std::size_t n = node.slots.size();
+  out.slots.clear();
   out.slots.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     obs::FlightSlot& slot = out.slots.emplace_back(obs::FlightSlot{
@@ -357,25 +374,6 @@ obs::FlightNode build_flight_node(std::size_t h, const NodeState& node,
       slot.mem_target = node.hv_node->memory().target(i);
     }
   }
-  const auto tenant_of = [&](std::size_t g) {
-    return g < node.tenant_ids.size() ? node.tenant_ids[g] : g;
-  };
-  if (prov.has_irt) {
-    out.has_irt = true;
-    out.irt_types = prov.irt_types;
-    out.irt.reserve(prov.irt_lambda.size());
-    for (std::size_t g = 0; g < prov.irt_lambda.size(); ++g) {
-      out.irt.push_back(obs::FlightIrtTenant{
-          tenant_of(g), prov.irt_lambda[g], prov.irt_share[g],
-          prov.irt_demand[g], prov.irt_grant[g]});
-    }
-  }
-  out.iwa.reserve(prov.iwa.size());
-  for (std::size_t g = 0; g < prov.iwa.size(); ++g) {
-    out.iwa.push_back(obs::FlightIwa{tenant_of(g), prov.iwa[g].vm_grant,
-                                     prov.iwa[g].headroom});
-  }
-  return out;
 }
 
 /// One tenant's sums in the window's canonical exchange.
@@ -475,8 +473,8 @@ class EngineRun {
     demand_offset_.assign(tenant_count_ + 1, 0);
     for (std::size_t t = 0; t < tenant_count_; ++t) {
       const std::size_t vms = scenario.workloads[t]->vm_split().size();
-      RRF_REQUIRE(vms >= cl_.tenants()[t].vms.size(),
-                  "workload has fewer VMs than its tenant");
+      RRF_REQUIRE(vms == cl_.tenants()[t].vms.size(),
+                  "workload VM count differs from its tenant's");
       demand_offset_[t + 1] = demand_offset_[t] + vms;
     }
     demands_.assign(demand_offset_[tenant_count_],
@@ -690,14 +688,6 @@ class EngineRun {
         config_.incidents != nullptr) {
       publish_summary(w, now);
     }
-    if (config_.recorder != nullptr) {
-      for (std::size_t t = 0; t < tenant_count_; ++t) {
-        const double initial = tenant_share_sum_[t];
-        config_.recorder->record(w, now, t, rollup_.demand[t] / initial,
-                                 rollup_.position[t] / initial,
-                                 rollup_.score[t]);
-      }
-    }
     if (config_.observer) {
       WindowSnapshot snapshot;
       snapshot.window = w;
@@ -717,7 +707,6 @@ class EngineRun {
       }
       result_.alloc_invocations += node.alloc_invocations;
     }
-    result_.alloc_seconds_total = result_.phase_total(obs::Phase::kAllocate);
     if (shard_executor_) {
       // Fold in what the executor can't see: how many VM slots each
       // shard's nodes ended the run hosting (the imbalance denominator).
@@ -772,16 +761,12 @@ class EngineRun {
                         tenant_count_);
   }
 
-  /// Fairness auditor, time-series recorder, incident metadata and the
-  /// flight recorder's per-node capture buffers.
+  /// Fairness auditor, incident metadata and the flight recorder's
+  /// per-node capture buffers.
   void attach_sinks(std::vector<std::string> names) {
     if (config_.audit.enabled && obs::metrics_enabled()) {
       auditor_ = std::make_unique<obs::FairnessAuditor>(
-          config_.audit, names, tenant_share_sum_);
-    }
-    if (config_.recorder != nullptr) {
-      config_.recorder->clear();
-      config_.recorder->set_tenants(std::move(names));
+          config_.audit, std::move(names), tenant_share_sum_);
     }
     if (config_.incidents != nullptr) {
       obs::IncidentManager& incidents = *config_.incidents;
@@ -817,10 +802,7 @@ class EngineRun {
     // the hooks reduce to a thread-local pointer load) when no recorder is
     // attached.
     flight_on_ = config_.flight != nullptr;
-    if (flight_on_) {
-      node_prov_.resize(host_count_);
-      flight_nodes_.resize(host_count_);
-    }
+    if (flight_on_) flight_nodes_.resize(host_count_);
   }
 
   /// Predict, allocate, actuate and settle one node.
@@ -854,8 +836,7 @@ class EngineRun {
     timed(obs::Phase::kActuate, [&] { actuate(node); });
     timed(obs::Phase::kSettle, [&] { settle(h, node); });
     if (flight_on_) {
-      flight_nodes_[h] =
-          build_flight_node(h, node, config_.use_actuators, node_prov_[h]);
+      fill_flight_node(h, node, config_.use_actuators, flight_nodes_[h]);
     }
     trace_edge(obs::EventKind::kAllocRoundEnd);
   }
@@ -886,7 +867,7 @@ class EngineRun {
     std::fill(node.node_lambda.begin(), node.node_lambda.end(), 0.0);
     {
       std::optional<obs::ProvenanceScope> prov_scope;
-      if (flight_on_) prov_scope.emplace(&node_prov_[h]);
+      if (flight_on_) prov_scope.emplace(&flight_nodes_[h].prov);
       ShardScratch& scratch =
           shard_executor_
               ? shard_scratch_[shard_executor_->plan().shard_of(h)]
@@ -1147,7 +1128,8 @@ class EngineRun {
   /// Incident open/resolve edges already relayed into the journal.
   std::size_t incident_event_cursor_{0};
   bool flight_on_{false};
-  std::vector<obs::ProvenanceRound> node_prov_;
+  /// This window's flight entry per node; allocate() captures straight
+  /// into its provenance.
   std::vector<obs::FlightNode> flight_nodes_;
   obs::ProvenanceRound rebalance_prov_;
 };

@@ -15,7 +15,6 @@
 #include "cluster/rebalance.hpp"
 #include "hypervisor/node.hpp"
 #include "obs/audit.hpp"
-#include "obs/timeseries.hpp"
 #include "sim/metrics.hpp"
 #include "sim/predictor.hpp"
 #include "sim/scenario.hpp"
@@ -113,10 +112,6 @@ struct EngineConfig {
   /// it publishes the per-round `fairness.*` gauges.  Alerting belongs to
   /// `incidents` below.
   obs::AuditConfig audit;
-  /// Optional per-round per-tenant time-series sink (the Fig. 4/5 demand
-  /// and allocation ratio series plus perf scores).  Not owned; must
-  /// outlive the run.  Recorded regardless of the metrics switch.
-  obs::TimeSeriesRecorder* recorder = nullptr;
   /// Optional flight recorder (obs/flightrec.hpp): the engine appends one
   /// round per window with per-slot demand/forecast/entitlement/actuator
   /// targets plus the IRT/IWA/rebalance provenance.  The caller writes the

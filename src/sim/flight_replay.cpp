@@ -254,7 +254,7 @@ Scenario scenario_from_recording(const obs::FlightRecording& recording) {
     if (recording.rounds[r].round != r) {
       fail("recording rounds are not contiguous (round " +
            std::to_string(recording.rounds[r].round) + " at position " +
-           std::to_string(r) + ") — a byte-budget-truncated recording "
+           std::to_string(r) + ") — a recording with missing rounds "
            "cannot be replayed");
     }
   }

@@ -14,9 +14,6 @@
 // order regardless of shard or thread count.
 #pragma once
 
-#include <string>
-#include <vector>
-
 #include "obs/flightrec.hpp"
 #include "sim/engine.hpp"
 #include "sim/scenario.hpp"
@@ -37,16 +34,13 @@ EngineConfig engine_config_from_recording(
 
 /// Rebuilds the cluster, placement and (recorded-demand) workloads from a
 /// "sim" recording.  Requires at least one round and contiguous round
-/// indices (a byte-budget-truncated recording cannot be replayed).
+/// indices.
 Scenario scenario_from_recording(const obs::FlightRecording& recording);
 
 struct ReplayResult {
   /// Recording-vs-replay comparison; identical == bit-exact replay.
   obs::FlightDiffResult diff;
   std::size_t rounds_replayed{0};
-  /// Non-fatal caveats surfaced during replay (currently none are
-  /// emitted; kept for report-schema stability).
-  std::vector<std::string> warnings;
 };
 
 /// Re-runs `recording` through the engine (or the one-shot allocation path

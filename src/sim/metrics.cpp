@@ -46,7 +46,8 @@ double SimResult::perf_geomean() const {
 
 double SimResult::allocator_load() const {
   if (alloc_invocations == 0 || window <= 0.0) return 0.0;
-  return (alloc_seconds_total / static_cast<double>(alloc_invocations)) /
+  return (phase_total(obs::Phase::kAllocate) /
+          static_cast<double>(alloc_invocations)) /
          window;
 }
 

@@ -64,9 +64,6 @@ struct SimResult {
   std::vector<TenantMetrics> tenants;
   /// Mean fraction of node capacity actually used, per resource type.
   ResourceVector mean_utilization{0.0, 0.0};
-  /// Wall time spent inside the allocation algorithm (overhead metric).
-  /// Equals phase_seconds[obs::Phase::kAllocate].
-  double alloc_seconds_total{0.0};
   std::size_t alloc_invocations{0};
   /// Wall time per round phase (predict/allocate/actuate/settle), summed
   /// over all nodes and windows — filled by the engine's PhaseScopes.
@@ -92,7 +89,8 @@ struct SimResult {
   double fairness_geomean() const;
   /// Geometric mean of per-tenant normalized performance (same guards).
   double perf_geomean() const;
-  /// Mean allocator CPU load: alloc time per invocation / window length.
+  /// Mean allocator CPU load: allocate-phase time per invocation / window
+  /// length.
   double allocator_load() const;
 };
 

@@ -51,16 +51,17 @@ TEST(FlightCapture, TableTwoCaptureHoldsTheIrtBreakdown) {
 
   // The provenance hook recorded Algorithm 1's contribution accounting:
   // VM2 banks 300 RAM shares, VM3 200 CPU shares, VM4 100 CPU shares.
-  ASSERT_TRUE(node.has_irt);
-  ASSERT_EQ(node.irt.size(), 4u);
-  EXPECT_DOUBLE_EQ(node.irt[0].lambda, 0.0);
-  EXPECT_DOUBLE_EQ(node.irt[1].lambda, 300.0);
-  EXPECT_DOUBLE_EQ(node.irt[2].lambda, 200.0);
-  EXPECT_DOUBLE_EQ(node.irt[3].lambda, 100.0);
+  ASSERT_TRUE(node.prov.has_irt);
+  ASSERT_EQ(node.prov.irt_lambda.size(), 4u);
+  EXPECT_DOUBLE_EQ(node.prov.irt_lambda[0], 0.0);
+  EXPECT_DOUBLE_EQ(node.prov.irt_lambda[1], 300.0);
+  EXPECT_DOUBLE_EQ(node.prov.irt_lambda[2], 200.0);
+  EXPECT_DOUBLE_EQ(node.prov.irt_lambda[3], 100.0);
+  EXPECT_EQ(node.tenants, (std::vector<std::size_t>{0, 1, 2, 3}));
 
   // The memory pass redistributed psi = 300 shares.
-  ASSERT_EQ(node.irt_types.size(), 2u);
-  EXPECT_NEAR(node.irt_types[1].redistributed, 300.0, 1e-9);
+  ASSERT_EQ(node.prov.irt_types.size(), 2u);
+  EXPECT_NEAR(node.prov.irt_types[1].redistributed, 300.0, 1e-9);
 }
 
 TEST(FlightCapture, TableTwoReplaysBitIdentically) {

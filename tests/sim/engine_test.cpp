@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "obs/profiler.hpp"
+#include "sim/synthetic.hpp"
 
 namespace rrf::sim {
 namespace {
@@ -259,6 +260,58 @@ TEST(Engine, ValidatesConfig) {
   EngineConfig bad = fast_engine(PolicyKind::kRrf);
   bad.window = 0.0;
   EXPECT_THROW(run_simulation(s, bad), PreconditionError);
+}
+
+// tshirt and iwa hand out the shares each tenant bought.  On a node sold
+// 2.5x past its capacity those shares are scaled to what the host backs,
+// so the node never entitles (or runs) more than it has.  Actuation is
+// ideal here: the balloon model boots every VM at its provisioned memory
+// and deflates it over several windows, which overruns an oversold host's
+// RAM under every policy.
+TEST(Engine, StaticPoliciesFitAnOversoldNode) {
+  SyntheticConfig synthetic;
+  synthetic.nodes = 4;
+  synthetic.vms_per_node = 8;
+  synthetic.tenants = 4;
+  synthetic.overcommit = 2.5;
+  const Scenario s = make_synthetic_scenario(synthetic);
+  for (const PolicyKind policy : {PolicyKind::kTshirt, PolicyKind::kIwaOnly}) {
+    EngineConfig config = fast_engine(policy);
+    config.duration = 200.0;
+    config.use_actuators = false;
+    const SimResult r = run_simulation(s, config);
+    for (std::size_t k = 0; k < r.mean_utilization.size(); ++k) {
+      EXPECT_LE(r.mean_utilization[k], 1.0) << to_string(policy) << " type "
+                                            << k;
+    }
+  }
+}
+
+// A tenant's workload drives exactly its VMs: RUBBoS splits its demand
+// over three VMs, so a tenant of one VM or of four cannot run it.
+TEST(Engine, RejectsAWorkloadWhoseVmCountDiffersFromItsTenant) {
+  for (const std::size_t vms : {1u, 3u, 4u}) {
+    cluster::Cluster cl({cluster::paper_host()},
+                        PricingModel::paper_default());
+    cluster::TenantSpec tenant;
+    tenant.name = "T";
+    for (std::size_t j = 0; j < vms; ++j) {
+      cluster::VmSpec vm;
+      vm.provisioned = ResourceVector{4.0, 2.0};
+      tenant.vms.push_back(vm);
+    }
+    cl.add_tenant(tenant);
+    Scenario s{std::move(cl), {}, {}, {}};
+    s.workloads.push_back(wl::make_workload(wl::WorkloadKind::kRubbos, 7));
+    s.host_of = {std::vector<std::size_t>(vms, 0)};
+    if (vms == 3) {
+      EXPECT_NO_THROW(run_simulation(s, fast_engine(PolicyKind::kRrf)));
+    } else {
+      EXPECT_THROW(run_simulation(s, fast_engine(PolicyKind::kRrf)),
+                   PreconditionError)
+          << vms << " VMs";
+    }
+  }
 }
 
 }  // namespace

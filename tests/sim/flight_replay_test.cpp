@@ -54,7 +54,6 @@ TEST(FlightReplay, PinnedRrfCellReplaysBitIdentically) {
   ASSERT_EQ(recording.rounds.size(), 5u);
 
   const sim::ReplayResult replay = sim::replay_recording(recording);
-  EXPECT_TRUE(replay.warnings.empty());
   EXPECT_EQ(replay.rounds_replayed, 5u);
   EXPECT_TRUE(replay.diff.identical)
       << replay.diff.first_divergence
@@ -155,7 +154,7 @@ TEST(FlightReplay, TruncatedRecordingsAreRefused) {
 
   obs::FlightRecording recording = record_run(scenario, config);
   ASSERT_GE(recording.rounds.size(), 3u);
-  // Dropping a middle round (as a byte budget would) breaks contiguity.
+  // Dropping a middle round (a hand-edited file) breaks contiguity.
   recording.rounds.erase(recording.rounds.begin() + 1);
   recording.trailer.reset();
   EXPECT_THROW(sim::replay_recording(recording), DomainError);

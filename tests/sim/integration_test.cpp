@@ -149,17 +149,22 @@ TEST(Integration, IdleTenantKeepsItsAssetUnlessConsumed) {
   idle.vms.push_back(idle_vm);
   cl.add_tenant(idle);
 
+  // Hungry runs RUBBoS's three VMs (web, app, DB) on the same <20, 8>
+  // provisioning as Idle, split the way the workload splits its demand.
+  wl::WorkloadPtr rubbos = wl::make_workload(wl::WorkloadKind::kRubbos, 7);
   cluster::TenantSpec hungry;
   hungry.name = "Hungry";
-  cluster::VmSpec hungry_vm;
-  hungry_vm.provisioned = ResourceVector{20.0, 8.0};
-  hungry.vms.push_back(hungry_vm);
+  for (const double fraction : rubbos->vm_split()) {
+    cluster::VmSpec vm;
+    vm.provisioned = ResourceVector{20.0, 8.0} * fraction;
+    hungry.vms.push_back(vm);
+  }
   cl.add_tenant(hungry);
 
   Scenario s{std::move(cl), {}, {}, {}};
   s.workloads.push_back(std::make_unique<IdleWorkload>());
-  s.workloads.push_back(wl::make_workload(wl::WorkloadKind::kRubbos, 7));
-  s.host_of = {{0}, {0}};
+  s.workloads.push_back(std::move(rubbos));
+  s.host_of = {{0}, {0, 0, 0}};
 
   const SimResult r = run_simulation(s, quick(PolicyKind::kRrf));
   // The idle tenant loses asset only when Hungry actually consumes its

@@ -46,7 +46,7 @@ TEST(SimResult, GeomeansAndLoad) {
   r.tenants = {a, b};
   EXPECT_NEAR(r.fairness_geomean(), 2.0, 1e-12);  // sqrt(1 * 4)
   EXPECT_NEAR(r.perf_geomean(), 0.5, 1e-12);      // sqrt(0.25 * 1)
-  r.alloc_seconds_total = 1.0;
+  r.phase_seconds[static_cast<std::size_t>(obs::Phase::kAllocate)] = 1.0;
   r.alloc_invocations = 100;
   EXPECT_NEAR(r.allocator_load(), 0.01 / 5.0, 1e-12);
   SimResult empty;

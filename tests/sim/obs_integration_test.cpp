@@ -162,8 +162,8 @@ TEST(ObsEmission, PredictorAndRebalanceInstrumentAContendedRun) {
 
 // One round roll-up feeds every round sink: the journal and the ops hub
 // carry the same serialized line per round, and the round summary, the
-// time-series recorder and the observer agree per tenant on demand,
-// position and score.
+// run's per-tenant series (SimResult) and the observer agree per tenant on
+// demand, position and score.
 TEST(ObsEmission, EveryRoundSinkReadsTheSameRollup) {
   ScenarioConfig scenario_config;
   scenario_config.workloads = wl::paper_workloads();
@@ -181,7 +181,6 @@ TEST(ObsEmission, EveryRoundSinkReadsTheSameRollup) {
   obs::OpsHub::Config hub_config;
   hub_config.ring_capacity = 2 * windows;
   obs::OpsHub hub(hub_config);
-  obs::TimeSeriesRecorder recorder;
   std::vector<WindowSnapshot> snapshots;
 
   EngineConfig config;
@@ -190,9 +189,8 @@ TEST(ObsEmission, EveryRoundSinkReadsTheSameRollup) {
   config.window = 5.0;
   config.journal = journal.get();
   config.ops = &hub;
-  config.recorder = &recorder;
   config.observer = [&](const WindowSnapshot& s) { snapshots.push_back(s); };
-  run_simulation(scenario, config);
+  const SimResult result = run_simulation(scenario, config);
   journal->finish();
 
   std::vector<std::string> journal_lines;
@@ -206,7 +204,11 @@ TEST(ObsEmission, EveryRoundSinkReadsTheSameRollup) {
   ASSERT_EQ(journal_lines.size(), windows);
   ASSERT_EQ(hub_lines, journal_lines);
   ASSERT_EQ(snapshots.size(), windows);
-  ASSERT_EQ(recorder.rows().size(), windows * tenants);
+  ASSERT_EQ(result.tenants.size(), tenants);
+  for (const TenantMetrics& metrics : result.tenants) {
+    ASSERT_EQ(metrics.demand_ratio_series().size(), windows);
+    ASSERT_EQ(metrics.alloc_ratio_series().size(), windows);
+  }
 
   for (std::size_t w = 0; w < windows; ++w) {
     const obs::RoundSummary summary =
@@ -217,16 +219,22 @@ TEST(ObsEmission, EveryRoundSinkReadsTheSameRollup) {
     for (std::size_t t = 0; t < tenants; ++t) {
       const double initial = scenario.cluster.tenant_shares(t).sum();
       const obs::TenantRoundStat& stat = summary.tenants[t];
-      const obs::TimeSeriesRecorder::Row& row =
-          recorder.rows()[w * tenants + t];
-      ASSERT_EQ(row.window, w);
-      ASSERT_EQ(row.tenant, t);
+      const TenantMetrics& metrics = result.tenants[t];
       EXPECT_EQ(stat.share, snapshot.tenant_position[t] / initial);
       EXPECT_EQ(stat.demand, snapshot.tenant_demand[t] / initial);
-      EXPECT_EQ(row.alloc_ratio, stat.share);
-      EXPECT_EQ(row.demand_ratio, stat.demand);
-      EXPECT_EQ(row.perf_score, snapshot.tenant_score[t]);
+      EXPECT_EQ(metrics.alloc_ratio_series()[w], stat.share);
+      EXPECT_EQ(metrics.demand_ratio_series()[w], stat.demand);
     }
+  }
+  // The run's mean perf score folds the same per-window scores the
+  // observer saw, in window order.
+  for (std::size_t t = 0; t < tenants; ++t) {
+    double score_total = 0.0;
+    for (const WindowSnapshot& snapshot : snapshots) {
+      score_total += snapshot.tenant_score[t];
+    }
+    EXPECT_EQ(result.tenants[t].mean_perf(),
+              score_total / static_cast<double>(windows));
   }
 }
 

@@ -1,19 +1,28 @@
 // Shared CLI plumbing for the rrf_* tools.
 //
-// rrf_sim_cli and rrf_alloc_cli expose the same telemetry-journal flags;
-// this header keeps their spelling, parsing and defaults in one place so
-// the two tools can never drift apart (`--journal` meaning bytes in one
-// and a path in the other).  Both tools already use a `next()` closure to
+// rrf_sim_cli and rrf_alloc_cli expose the same telemetry-journal flags
+// and the same --trace/--metrics/--profile outputs; this header keeps
+// their spelling, parsing, defaults and file formats in one place so the
+// two tools can never drift apart (`--journal` meaning bytes in one and a
+// path in the other).  Both tools already use a `next()` closure to
 // consume flag values, so parse_flag() takes any nullary callable.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <iostream>
 #include <string>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "common/table.hpp"
+#include "obs/exposition.hpp"
 #include "obs/journal.hpp"
+#include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
+#include "obs/trace.hpp"
 
 namespace rrf::tools {
 
@@ -65,5 +74,70 @@ struct JournalCliOptions {
     return options;
   }
 };
+
+inline bool ends_with(const std::string& s, std::string_view suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+/// Opens `path` for writing; exits 1 with a message when it cannot.
+inline std::ofstream open_output(const std::string& path) {
+  std::ofstream out(path);
+  if (!out) {
+    std::cerr << "cannot open " << path << " for writing\n";
+    std::exit(1);
+  }
+  return out;
+}
+
+/// Writes the --trace, --profile and --metrics outputs a run asked for
+/// (an empty path skips that output); the extension picks the format.
+inline void write_observability_outputs(const std::string& trace_path,
+                                        const std::string& metrics_path,
+                                        const std::string& profile_path) {
+  if (!trace_path.empty()) {
+    std::ofstream out = open_output(trace_path);
+    if (ends_with(trace_path, ".jsonl")) {
+      obs::tracer().write_jsonl(out);
+    } else {
+      obs::tracer().write_chrome_trace(out);
+    }
+    std::cout << "wrote " << trace_path << " ("
+              << obs::tracer().events().size() << " events";
+    if (obs::tracer().dropped() > 0) {
+      std::cout << ", " << obs::tracer().dropped()
+                << " dropped to ring wraparound";
+    }
+    std::cout << ")\n";
+  }
+  if (!profile_path.empty()) {
+    const obs::ProfileSnapshot snapshot = obs::profile_snapshot();
+    if (obs::metrics_enabled()) {
+      // Land profile.* gauges in the same snapshot/exposition as the
+      // run's own counters.
+      obs::publish_profile_metrics(obs::metrics(), snapshot);
+    }
+    std::ofstream out = open_output(profile_path);
+    if (ends_with(profile_path, ".json")) {
+      obs::write_chrome_profile(out, snapshot);
+    } else {
+      obs::write_collapsed(out, snapshot);
+    }
+    std::cout << "wrote " << profile_path << " (" << snapshot.merged.size()
+              << " call-tree sites over " << snapshot.threads.size()
+              << " thread(s))\n";
+  }
+  if (!metrics_path.empty()) {
+    std::ofstream out = open_output(metrics_path);
+    if (ends_with(metrics_path, ".csv")) {
+      obs::metrics().write_csv(out);
+    } else if (ends_with(metrics_path, ".prom")) {
+      obs::write_prometheus(out, obs::metrics());
+    } else {
+      obs::metrics().write_json(out);
+    }
+    std::cout << "wrote " << metrics_path << "\n";
+  }
+}
 
 }  // namespace rrf::tools

@@ -69,63 +69,6 @@ ResourceVector parse_vector(const std::string& text) {
   return ResourceVector(std::span<const double>(values));
 }
 
-bool ends_with(const std::string& s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-void write_observability_outputs(const std::string& trace_path,
-                                 const std::string& metrics_path,
-                                 const std::string& profile_path) {
-  if (!profile_path.empty()) {
-    const obs::ProfileSnapshot snapshot = obs::profile_snapshot();
-    if (obs::metrics_enabled()) {
-      obs::publish_profile_metrics(obs::metrics(), snapshot);
-    }
-    std::ofstream out(profile_path);
-    if (!out) {
-      std::cerr << "cannot open " << profile_path << " for writing\n";
-      std::exit(1);
-    }
-    if (ends_with(profile_path, ".json")) {
-      obs::write_chrome_profile(out, snapshot);
-    } else {
-      obs::write_collapsed(out, snapshot);
-    }
-    std::cout << "wrote " << profile_path << " (" << snapshot.merged.size()
-              << " call-tree sites)\n";
-  }
-  if (!trace_path.empty()) {
-    std::ofstream out(trace_path);
-    if (!out) {
-      std::cerr << "cannot open " << trace_path << " for writing\n";
-      std::exit(1);
-    }
-    if (ends_with(trace_path, ".jsonl")) {
-      obs::tracer().write_jsonl(out);
-    } else {
-      obs::tracer().write_chrome_trace(out);
-    }
-    std::cout << "wrote " << trace_path << " ("
-              << obs::tracer().events().size() << " events)\n";
-  }
-  if (!metrics_path.empty()) {
-    std::ofstream out(metrics_path);
-    if (!out) {
-      std::cerr << "cannot open " << metrics_path << " for writing\n";
-      std::exit(1);
-    }
-    if (ends_with(metrics_path, ".csv")) {
-      obs::metrics().write_csv(out);
-    } else if (ends_with(metrics_path, ".prom")) {
-      obs::write_prometheus(out, obs::metrics());
-    } else {
-      obs::metrics().write_json(out);
-    }
-    std::cout << "wrote " << metrics_path << "\n";
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -196,11 +139,7 @@ int main(int argc, char** argv) {
       // yields the same entitlements plus the IRT Algorithm-1 breakdown.
       const obs::FlightRecording recording =
           alloc::capture_alloc_round(policy_name, capacity, entities);
-      std::ofstream out(record_path);
-      if (!out) {
-        std::cerr << "cannot open " << record_path << " for writing\n";
-        return 1;
-      }
+      std::ofstream out = tools::open_output(record_path);
       obs::FlightRecorder recorder(out);
       recorder.write_recording(recording);
       std::cout << "wrote " << record_path << " ("
@@ -261,7 +200,8 @@ int main(int argc, char** argv) {
         server.stop();
       }
     }
-    write_observability_outputs(trace_path, metrics_path, profile_path);
+    tools::write_observability_outputs(trace_path, metrics_path,
+                                       profile_path);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -103,9 +103,6 @@ int cmd_replay(const std::vector<std::string>& args) {
   const obs::FlightRecording recording = obs::FlightRecording::load_file(
       args[0]);
   const sim::ReplayResult result = sim::replay_recording(recording);
-  for (const std::string& warning : result.warnings) {
-    std::cout << "warning: " << warning << "\n";
-  }
   std::cout << "replayed " << result.rounds_replayed << " round(s) of "
             << recording.header.kind << "-kind recording (policy "
             << recording.header.policy << ")\n";

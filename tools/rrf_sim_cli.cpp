@@ -354,67 +354,6 @@ sim::EngineConfig engine_config(const CliOptions& options) {
   return engine;
 }
 
-bool ends_with(const std::string& s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-std::ofstream open_output(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot open " << path << " for writing\n";
-    std::exit(1);
-  }
-  return out;
-}
-
-void write_observability_outputs(const CliOptions& options) {
-  if (!options.trace_path.empty()) {
-    std::ofstream out = open_output(options.trace_path);
-    if (ends_with(options.trace_path, ".jsonl")) {
-      obs::tracer().write_jsonl(out);
-    } else {
-      obs::tracer().write_chrome_trace(out);
-    }
-    std::cout << "wrote " << options.trace_path << " ("
-              << obs::tracer().events().size() << " events";
-    if (obs::tracer().dropped() > 0) {
-      std::cout << ", " << obs::tracer().dropped()
-                << " dropped to ring wraparound";
-    }
-    std::cout << ")\n";
-  }
-  if (!options.profile_path.empty()) {
-    const obs::ProfileSnapshot snapshot = obs::profile_snapshot();
-    if (obs::metrics_enabled()) {
-      // Land profile.* gauges in the same snapshot/exposition as the
-      // engine's own counters.
-      obs::publish_profile_metrics(obs::metrics(), snapshot);
-    }
-    std::ofstream out = open_output(options.profile_path);
-    if (ends_with(options.profile_path, ".json")) {
-      obs::write_chrome_profile(out, snapshot);
-    } else {
-      obs::write_collapsed(out, snapshot);
-    }
-    std::size_t sites = snapshot.merged.size();
-    std::cout << "wrote " << options.profile_path << " (" << sites
-              << " call-tree sites over " << snapshot.threads.size()
-              << " thread(s))\n";
-  }
-  if (!options.metrics_path.empty()) {
-    std::ofstream out = open_output(options.metrics_path);
-    if (ends_with(options.metrics_path, ".csv")) {
-      obs::metrics().write_csv(out);
-    } else if (ends_with(options.metrics_path, ".prom")) {
-      obs::write_prometheus(out, obs::metrics());
-    } else {
-      obs::metrics().write_json(out);
-    }
-    std::cout << "wrote " << options.metrics_path << "\n";
-  }
-}
-
 int run(const CliOptions& options) {
   const bool serve_ops = options.serve_ops_port >= 0;
   obs::set_tracing_enabled(!options.trace_path.empty());
@@ -501,7 +440,7 @@ int run(const CliOptions& options) {
   std::ofstream record_out;
   std::unique_ptr<obs::FlightRecorder> recorder;
   if (!options.record_path.empty()) {
-    record_out = open_output(options.record_path);
+    record_out = tools::open_output(options.record_path);
     recorder = std::make_unique<obs::FlightRecorder>(record_out);
   }
 
@@ -558,12 +497,7 @@ int run(const CliOptions& options) {
               << recorder->rounds_recorded() << " rounds, "
               << recorder->bytes_written() << " bytes, "
               << TextTable::num(recorder->record_seconds() * 1e3, 2)
-              << " ms record time";
-    if (recorder->rounds_dropped() > 0) {
-      std::cout << ", " << recorder->rounds_dropped()
-                << " rounds dropped to byte budget";
-    }
-    std::cout << ")\n";
+              << " ms record time)\n";
   }
   if (journal) {
     journal->finish();
@@ -581,7 +515,8 @@ int run(const CliOptions& options) {
     write_csv(options.csv, csv);
     std::cout << "wrote " << options.csv << "\n";
   }
-  write_observability_outputs(options);
+  tools::write_observability_outputs(options.trace_path, options.metrics_path,
+                                     options.profile_path);
   if (server) {
     if (options.serve_hold > 0.0) {
       std::cout << "holding /metrics open for " << options.serve_hold
